@@ -54,7 +54,6 @@ from .optimizer import (
     dimension_boundary,
     invert_dimension_boundary,
     maximize_rate_constrained,
-    maximize_rate_fov_only,
     unified_boundary,
 )
 from .sweep import (

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optics import THETA_CPC_MAX, TruncationSpec
+from .optics import CAP_SLACK, THETA_CPC_MAX, TruncationSpec, cpc_entrance_diameter, cpc_length
 
 __all__ = [
     "EPSILON_0",
@@ -42,7 +42,11 @@ EPSILON_0 = 8.8541878128e-12  # vacuum permittivity [F/m]
 # see adrdesign.calibrate for the fit and its residuals.
 DEFAULT_K_PD = 1.746e-6  # [s/m]
 
-_CAP_SLACK = 1.0 + 1e-12
+
+def require_positive(name: str, value) -> None:
+    """Reject a scalar input that is not finite and positive (NaN and inf pass `<= 0`)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +62,9 @@ class PdPhysical:
     load_resistance: float
     saturation_velocity: float
     depletion_thickness: Optional[float] = None
-    permittivity_vacuum: float = EPSILON_0
 
     def __post_init__(self):
-        for name in ("relative_permittivity", "load_resistance", "saturation_velocity",
-                     "permittivity_vacuum"):
+        for name in ("relative_permittivity", "load_resistance", "saturation_velocity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.depletion_thickness is not None and self.depletion_thickness <= 0:
@@ -122,8 +124,6 @@ class AdrGeometry:
     height: float
     top_area: float
     element_count: int
-    k1: float  # height constant [m*Hz]
-    k2: float  # area constant [m^2*Hz^2]
 
 
 # Table of standard configurations: (n_tier, PDs per array).
@@ -162,26 +162,27 @@ def acceptance_angle(fov: float, n_tier: int) -> float:
 
     Adjacent tiers are tilted by twice the acceptance angle (touching,
     non-overlapping cones), so theta = FOV / (2*n_tier + 1). FOV is a
-    half-angle in (0, pi/2]; the resulting theta must not exceed 30 deg.
+    half-angle in (0, fov_cap(n_tier)]: at most 90 deg, and theta at most 30 deg.
     """
     if n_tier < 0 or int(n_tier) != n_tier:
         raise ValueError(f"n_tier must be a non-negative integer, got {n_tier}")
-    if not 0 < fov <= (math.pi / 2) * _CAP_SLACK:
+    if not (fov > 0 and fov_valid(n_tier, fov)):
         raise ValueError(
-            f"FOV {math.degrees(fov):.3f} deg outside the valid half-angle range (0, 90] deg"
+            f"FOV {math.degrees(fov):.3f} deg outside (0, {math.degrees(fov_cap(n_tier)):.4g}] "
+            f"deg for {n_tier} tier(s): the half-angle FOV is capped at 90 deg and each "
+            f"acceptance angle at 30 deg; add tiers or reduce FOV"
         )
-    theta = fov / (2 * int(n_tier) + 1)
-    if theta > THETA_CPC_MAX * _CAP_SLACK:
-        raise ValueError(
-            f"FOV {math.degrees(fov):.3f} deg with {n_tier} tier(s) needs acceptance angle "
-            f"{math.degrees(theta):.3f} deg, above the 30 deg cap; add tiers or reduce FOV"
-        )
-    return theta
+    return fov / (2 * int(n_tier) + 1)
 
 
 def fov_cap(n_tier: int) -> float:
     """Largest valid FOV for a tier count: min(pi/2, (2*n_tier+1)*pi/6)."""
     return min(math.pi / 2, (2 * int(n_tier) + 1) * THETA_CPC_MAX)
+
+
+def fov_valid(n_tier: int, fov):
+    """Whether each FOV lies within fov_cap(n_tier), up to CAP_SLACK. Array-capable."""
+    return np.asarray(fov) <= fov_cap(n_tier) * CAP_SLACK
 
 
 def pd_bandwidth_full(phys: PdPhysical, area: float) -> float:
@@ -192,10 +193,9 @@ def pd_bandwidth_full(phys: PdPhysical, area: float) -> float:
     """
     if phys.depletion_thickness is None:
         raise ValueError("depletion_thickness is required for the full bandwidth model")
-    if area <= 0:
-        raise ValueError(f"area must be positive, got {area}")
+    require_positive("area", area)
     ell = phys.depletion_thickness
-    c_p = phys.permittivity_vacuum * phys.relative_permittivity * area / ell
+    c_p = EPSILON_0 * phys.relative_permittivity * area / ell
     rc = 2.0 * math.pi * phys.load_resistance * c_p
     transit = ell / (0.44 * phys.saturation_velocity)
     return 1.0 / math.sqrt(rc**2 + transit**2)
@@ -203,66 +203,73 @@ def pd_bandwidth_full(phys: PdPhysical, area: float) -> float:
 
 def pd_bandwidth_optimal(phys: PdPhysical, area: float) -> float:
     """Upper-bound bandwidth at the optimal depletion thickness."""
-    if area <= 0:
-        raise ValueError(f"area must be positive, got {area}")
-    return 1.0 / (k_pd_from_physical(phys) * math.sqrt(area))
+    require_positive("area", area)
+    return _area_bandwidth(k_pd_from_physical(phys), math.sqrt(area))
 
 
 def k_pd_from_physical(phys: PdPhysical) -> float:
     """Compose the area-bandwidth constant from PD material constants."""
     return math.sqrt(
-        4.0 * math.pi * phys.permittivity_vacuum * phys.relative_permittivity
+        4.0 * math.pi * EPSILON_0 * phys.relative_permittivity
         * phys.load_resistance / (0.44 * phys.saturation_velocity)
     )
 
 
 def pd_side_from_bandwidth(bandwidth: float, k_pd: float = DEFAULT_K_PD) -> float:
     """Side length of a square PD that reaches the given bandwidth."""
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    if k_pd <= 0:
-        raise ValueError(f"k_pd must be positive, got {k_pd}")
-    return 1.0 / (k_pd * bandwidth)
+    require_positive("bandwidth", bandwidth)
+    require_positive("k_pd", k_pd)
+    return _area_bandwidth(k_pd, bandwidth)
 
 
 def ring_sum(n_tier: int, theta):
-    """Projected-area factor 1 + sum_i 6 i cos(2 i theta). Array-capable."""
-    total = np.ones_like(np.asarray(theta, dtype=float))
+    """Projected-area factor 1 + sum_i 6 i cos(2 i theta); broadcasts against theta."""
+    total = 1.0
     for i in range(1, int(n_tier) + 1):
-        total = total + 6 * i * np.cos(2 * i * np.asarray(theta, dtype=float))
+        total = total + 6 * i * np.cos(2 * i * theta)
     return total
 
 
-# Raw closed forms, array-capable and unvalidated; geometry() and the sweep /
-# optimizer layers build on these.
+# Raw closed forms, array-capable and unvalidated; geometry(), the link
+# budget, the sweeps and the optimizer boundaries all evaluate these.
+# Every dimension scales with 1/B through D2, so height = h(theta) / B and
+# top area = a(theta) / B^2; the boundaries invert h and a directly.
 
-def _d2(cfg: AdrConfig, b):
-    return (1.0 / (cfg.kpd * np.asarray(b, dtype=float))) * math.sqrt(cfg.n_pd / cfg.fill_factor)
+def _area_bandwidth(k_pd: float, x):
+    """B * d_PD = 1 / K_PD, solved for the PD side d_PD or the bandwidth B."""
+    return 1.0 / (k_pd * x)
 
 
-def _d1_full(cfg: AdrConfig, b, theta):
-    return _d2(cfg, b) * cfg.n_cpc / np.sin(theta)
+def _exit_diameter(cfg: AdrConfig, b):
+    """CPC exit aperture D2 that covers the square array of N_PD PDs at fill factor FF."""
+    return _area_bandwidth(cfg.kpd, b) * math.sqrt(cfg.n_pd / cfg.fill_factor)
+
+
+def _entrance_diameter(cfg: AdrConfig, b, theta):
+    """Entrance aperture D1, scaled by sqrt(gain_retention) when truncated.
+
+    D1 is linear in D2; scaling D2 costs no array operation for scalar B."""
+    d2 = math.sqrt(cfg.gain_retention) * _exit_diameter(cfg, b)
+    return cpc_entrance_diameter(d2, cfg.n_cpc, theta)
+
+
+def _height_coeff(cfg: AdrConfig, theta):
+    """h(theta) = receiver height * B [m Hz]: the (truncated) CPC length at B = 1 Hz."""
+    d2 = _exit_diameter(cfg, 1.0)
+    return cfg.tau * cpc_length(cpc_entrance_diameter(d2, cfg.n_cpc, theta), d2, theta)
+
+
+def _area_coeff(cfg: AdrConfig, theta):
+    """a(theta) = top area * B^2 [m^2 Hz^2]: entrance discs projected over all tiers at B = 1 Hz."""
+    return np.pi / 4.0 * _entrance_diameter(cfg, 1.0, theta) ** 2 * ring_sum(cfg.n_tier, theta)
 
 
 def _height(cfg: AdrConfig, b, theta):
-    d2 = _d2(cfg, b)
-    d1 = d2 * cfg.n_cpc / np.sin(theta)
-    return cfg.tau * (d1 + d2) / (2.0 * np.tan(theta))
+    return _height_coeff(cfg, theta) / b
 
 
 def _top_area(cfg: AdrConfig, b, theta):
-    d1 = _d1_full(cfg, b, theta)
-    return cfg.gain_retention * np.pi * d1**2 / 4.0 * ring_sum(cfg.n_tier, theta)
-
-
-def k1(cfg: AdrConfig) -> float:
-    """Height constant: height = tau * K1/B * (n + sin t)/(sin t tan t)."""
-    return 0.5 / cfg.kpd * math.sqrt(cfg.n_pd / cfg.fill_factor)
-
-
-def k2(cfg: AdrConfig) -> float:
-    """Area constant: area = gamma * K2 * ring/(B^2 sin^2 t)."""
-    return math.pi * cfg.n_pd * cfg.n_cpc**2 / (4.0 * cfg.fill_factor * cfg.kpd**2)
+    return _area_coeff(cfg, theta) / np.square(b)
 
 
 def geometry(cfg: AdrConfig, bandwidth: float, fov: float) -> AdrGeometry:
@@ -274,24 +281,15 @@ def geometry(cfg: AdrConfig, bandwidth: float, fov: float) -> AdrGeometry:
     the configuration carries a truncation, entrance diameter, height and
     area are scaled by sqrt(gain_retention), length_ratio and gain_retention.
     """
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    require_positive("bandwidth", bandwidth)
     theta = acceptance_angle(fov, cfg.n_tier)
-    d_pd = pd_side_from_bandwidth(bandwidth, cfg.kpd)
-    d2 = d_pd * math.sqrt(cfg.n_pd / cfg.fill_factor)
-    d1 = d2 * cfg.n_cpc / math.sin(theta)
-    height = (d1 + d2) / (2.0 * math.tan(theta))
-    area = math.pi * d1**2 / 4.0 * float(ring_sum(cfg.n_tier, theta))
-    root_g = math.sqrt(cfg.gain_retention)
     return AdrGeometry(
         theta_cpc=theta,
         tilt_angles=tuple(2 * i * theta for i in range(1, cfg.n_tier + 1)),
-        pd_side=d_pd,
-        exit_diameter=d2,
-        entrance_diameter=root_g * d1,
-        height=cfg.tau * height,
-        top_area=cfg.gain_retention * area,
+        pd_side=_area_bandwidth(cfg.kpd, bandwidth),
+        exit_diameter=_exit_diameter(cfg, bandwidth),
+        entrance_diameter=float(_entrance_diameter(cfg, bandwidth, theta)),
+        height=float(_height(cfg, bandwidth, theta)),
+        top_area=float(_top_area(cfg, bandwidth, theta)),
         element_count=element_count(cfg.n_tier),
-        k1=k1(cfg),
-        k2=k2(cfg),
     )

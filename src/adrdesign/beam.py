@@ -23,6 +23,7 @@ __all__ = [
     "rayleigh_range",
     "transform_through_lens",
     "beam_radius",
+    "encircled_fraction",
     "encircled_power",
 ]
 
@@ -167,6 +168,15 @@ def beam_radius(beam: PropagatedBeam, z):
     return float(w) if w.ndim == 0 else w
 
 
+def encircled_fraction(beam: PropagatedBeam, z, rho0):
+    """Fraction 1 - exp(-2 rho0^2 / w(z)^2) of the power inside a centred aperture."""
+    rho0 = np.asarray(rho0, dtype=float)
+    if np.any(rho0 < 0):
+        raise ValueError("aperture radius rho0 must be >= 0")
+    w = beam_radius(beam, z)
+    return 1.0 - np.exp(-2.0 * rho0**2 / np.asarray(w) ** 2)
+
+
 def encircled_power(beam: PropagatedBeam, z, rho0):
     """Optical power collected by a centred circular aperture.
 
@@ -184,9 +194,5 @@ def encircled_power(beam: PropagatedBeam, z, rho0):
     float or ndarray
         P = P_total * (1 - exp(-2 rho0^2 / w(z)^2)) [W].
     """
-    rho0 = np.asarray(rho0, dtype=float)
-    if np.any(rho0 < 0):
-        raise ValueError("aperture radius rho0 must be >= 0")
-    w = beam_radius(beam, z)
-    p = beam.power * (1.0 - np.exp(-2.0 * rho0**2 / np.asarray(w) ** 2))
+    p = beam.power * encircled_fraction(beam, z, rho0)
     return float(p) if np.ndim(p) == 0 else p

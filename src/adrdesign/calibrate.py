@@ -76,15 +76,16 @@ def _rate_values(ctx: LinkContext, k_pd: float, load_resistance: float) -> list:
     return out
 
 
+def _residuals(anchors: tuple, values) -> dict:
+    """Relative error of each value against its anchor's target."""
+    return {a.name: (v - a.target) / a.target for a, v in zip(anchors, values)}
+
+
 def fit_k_pd() -> float:
     """Least-squares fit of K_PD to the height / area anchor pair."""
 
     def loss(k):
-        h, a = _dim_values(k)
-        return -(
-            ((h - DIMENSION_ANCHORS[0].target) / DIMENSION_ANCHORS[0].target) ** 2
-            + ((a - DIMENSION_ANCHORS[1].target) / DIMENSION_ANCHORS[1].target) ** 2
-        )
+        return -sum(r**2 for r in _residuals(DIMENSION_ANCHORS, _dim_values(k)).values())
 
     k, _ = golden_max(loss, 1.2e-6, 2.4e-6, rel_tol=1e-10)
     return k
@@ -95,7 +96,7 @@ def fit_load_resistance(ctx: LinkContext, k_pd: float) -> float:
 
     def loss(rl):
         rates = _rate_values(ctx, k_pd, rl)
-        return -sum(((r - a.target) / a.target) ** 2 for r, a in zip(rates, RATE_ANCHORS))
+        return -sum(r**2 for r in _residuals(RATE_ANCHORS, rates).values())
 
     rl, _ = golden_max(loss, 400.0, 2400.0, rel_tol=1e-10)
     return rl
@@ -103,13 +104,8 @@ def fit_load_resistance(ctx: LinkContext, k_pd: float) -> float:
 
 def residual_report(ctx: LinkContext, k_pd: float, load_resistance: float) -> dict:
     """Relative error of every anchor at the given constants."""
-    out = {}
-    h, a = _dim_values(k_pd)
-    out[DIMENSION_ANCHORS[0].name] = (h - DIMENSION_ANCHORS[0].target) / DIMENSION_ANCHORS[0].target
-    out[DIMENSION_ANCHORS[1].name] = (a - DIMENSION_ANCHORS[1].target) / DIMENSION_ANCHORS[1].target
-    for rate, anchor in zip(_rate_values(ctx, k_pd, load_resistance), RATE_ANCHORS):
-        out[anchor.name] = (rate - anchor.target) / anchor.target
-    return out
+    return {**_residuals(DIMENSION_ANCHORS, _dim_values(k_pd)),
+            **_residuals(RATE_ANCHORS, _rate_values(ctx, k_pd, load_resistance))}
 
 
 def run_calibration(ctx: LinkContext) -> CalibrationResult:

@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import adr, calibrate as calibrate_mod, sweep as sweep_mod
 from .config import ConfigError, load_config, parse_quantity
 from .link import link_budget
@@ -199,10 +201,16 @@ def _cmd_sweep(args) -> int:
     )
     name = run.adr["preset"] if run.adr["n_tier"] is None else "custom"
     grid = sweep_mod.grid_sweep(cfg, ctx, args.quantity, axes, config_name=name)
+    finite = grid.values[~np.isnan(grid.values)]
+    if finite.size == 0:
+        raise ConfigError(
+            f"no valid cell: every FOV from --fov-lo {args.fov_lo} to --fov-hi {args.fov_hi} "
+            f"is above the {math.degrees(adr.fov_cap(cfg.n_tier)):.4g} deg FOV cap for "
+            f"{cfg.n_tier} tier(s)"
+        )
     base = f"sweep_{args.quantity}_{name}"
     csv_path = _write(outdir, base + ".csv", grid.to_csv())
     json_path = _write(outdir, base + ".json", grid.to_json())
-    finite = grid.values[~(grid.values != grid.values)]  # drop NaN
     print(f"sweep {args.quantity}: {axes[0].count} x {axes[1].count} cells, "
           f"range [{finite.min():.4g}, {finite.max():.4g}]")
     print(f"artifacts written to {csv_path} and {json_path}")

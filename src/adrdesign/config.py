@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .adr import DEFAULT_K_PD, AdrConfig, PdPhysical, preset
@@ -36,13 +36,11 @@ DEFAULTS = {
         "pt_max_mw": 16.0,
         "lens_f_mm": 33.0,
         "lens_d_mm": 0.0,
-        "eye_safety_check": True,
     },
     "link": {
         "distance_m": 3.0,
         "responsivity": 0.6,
         "snr_gap": 2.6,
-        "ber": 3.8e-3,  # informational; the gap already encodes it
     },
     "noise": {
         "temperature_k": 300.0,
@@ -76,7 +74,7 @@ DEFAULTS = {
 }
 
 _STRING_KEYS = {("noise", "mode"), ("adr", "preset"), ("adr", "k_pd_mode")}
-_BOOL_KEYS = {("beam", "eye_safety_check"), ("adr", "truncated")}
+_BOOL_KEYS = {("adr", "truncated")}
 _INT_KEYS = {("adr", "n_tier"), ("adr", "n_pd"), ("solver", "grid_points")}
 
 
@@ -110,7 +108,6 @@ class RunConfig:
             distance=self.link["distance_m"],
             responsivity=self.link["responsivity"],
             snr_gap=self.link["snr_gap"],
-            transmit_power=self.beam["pt_mw"] * 1e-3,
             transmit_power_cap=self.beam["pt_max_mw"] * 1e-3,
         )
 
@@ -157,7 +154,6 @@ class RunConfig:
                 truncation=trunc,
             )
         base = preset(a["preset"], truncation=trunc)
-        from dataclasses import replace
         return replace(base, fill_factor=a["fill_factor"], n_cpc=a["n_cpc"],
                        k_pd=a["k_pd_s_per_m"], pd_physical=pd_phys)
 
@@ -198,7 +194,7 @@ def _coerce(section: str, key: str, raw: str):
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    if cfg.beam["eye_safety_check"] and cfg.beam["pt_mw"] > cfg.beam["pt_max_mw"]:
+    if cfg.beam["pt_mw"] > cfg.beam["pt_max_mw"]:
         raise ConfigError(
             f"beam.pt_mw = {cfg.beam['pt_mw']:g} exceeds the eye-safety cap "
             f"pt_max_mw = {cfg.beam['pt_max_mw']:g}"

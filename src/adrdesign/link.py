@@ -9,14 +9,14 @@ the thermal PSD below is multiplied by the array size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .adr import AdrConfig
-from .beam import PropagatedBeam, beam_radius
+from . import adr
+from .adr import AdrConfig, require_positive
+from .beam import PropagatedBeam, beam_radius, encircled_fraction
 
 __all__ = [
     "BOLTZMANN",
@@ -28,7 +28,6 @@ __all__ = [
     "spot_radius",
     "received_power",
     "noise_psd",
-    "snr",
     "achievable_rate",
     "link_budget",
 ]
@@ -44,7 +43,6 @@ class LinkParams:
     distance: float = 3.0  # [m]
     responsivity: float = 0.6  # [A/W]
     snr_gap: float = 2.6  # linear SNR gap to capacity at the target BER
-    transmit_power: float = 0.010  # [W]
     transmit_power_cap: float = 0.016  # [W], eye-safety limit
 
     def __post_init__(self):
@@ -54,11 +52,6 @@ class LinkParams:
             raise ValueError(f"responsivity must be positive, got {self.responsivity}")
         if self.snr_gap < 1:
             raise ValueError(f"snr_gap must be >= 1, got {self.snr_gap}")
-        if not 0 <= self.transmit_power <= self.transmit_power_cap:
-            raise ValueError(
-                f"transmit_power {self.transmit_power} W outside "
-                f"[0, {self.transmit_power_cap}] W (eye-safety cap)"
-            )
 
 
 @dataclass(frozen=True)
@@ -75,8 +68,6 @@ class NoiseModel:
     noise_figure: float = 10 ** 0.5  # linear (5 dB)
     mode: str = "thermal_only"
     rin: Optional[float] = None  # [1/Hz]
-    boltzmann: float = BOLTZMANN
-    elementary_charge: float = ELEMENTARY_CHARGE
 
     def __post_init__(self):
         if self.temperature <= 0 or self.load_resistance <= 0:
@@ -102,11 +93,22 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class LinkContext:
-    """Everything the rate evaluation needs besides the receiver config."""
+    """Everything the rate evaluation needs besides the receiver config.
+
+    The transmitted power is the beam's; it must not exceed the link's
+    eye-safety cap.
+    """
 
     beam: PropagatedBeam
     link: LinkParams
     noise: NoiseModel
+
+    def __post_init__(self):
+        if self.beam.power > self.link.transmit_power_cap:
+            raise ValueError(
+                f"transmit power {self.beam.power} W above the "
+                f"{self.link.transmit_power_cap} W eye-safety cap"
+            )
 
 
 def spot_radius(ctx: LinkContext) -> float:
@@ -114,35 +116,29 @@ def spot_radius(ctx: LinkContext) -> float:
     return beam_radius(ctx.beam, ctx.link.distance - ctx.beam.waist_position)
 
 
-def _received_power_raw(cfg: AdrConfig, b, fov, w_spot: float, power: float):
-    """Collected power, array-capable, no validation.
+def _received_power_raw(cfg: AdrConfig, beam: PropagatedBeam, link: LinkParams, b, fov):
+    """FF times the beam power inside the central element's entrance aperture.
 
-    Closed form: FF * P_t * (1 - exp(-g * N_PD n^2 / (2 FF [K B sin(theta) w]^2)))
-    with theta = fov/(2 n_tier + 1) and g the truncation gain retention.
+    Array-capable, no validation; theta = fov / (2 n_tier + 1).
     """
-    b = np.asarray(b, dtype=float)
     theta = np.asarray(fov, dtype=float) / (2 * cfg.n_tier + 1)
-    expo = cfg.gain_retention * cfg.n_pd * cfg.n_cpc**2 / (
-        2.0 * cfg.fill_factor * (cfg.kpd * b * np.sin(theta) * w_spot) ** 2
-    )
-    return cfg.fill_factor * power * (1.0 - np.exp(-expo))
+    d1 = adr._entrance_diameter(cfg, b, theta)
+    # FF * P_t first: near saturation the fraction is 1 - 1 ulp, and P_t times
+    # it alone can round that ulp away, tying the rates of neighbouring FOVs.
+    collected = cfg.fill_factor * beam.power
+    return collected * encircled_fraction(beam, link.distance - beam.waist_position, d1 / 2.0)
+
+
+def _check_point(cfg: AdrConfig, bandwidth: float, fov: float) -> None:
+    adr.acceptance_angle(fov, cfg.n_tier)
+    require_positive("bandwidth", bandwidth)
 
 
 def received_power(cfg: AdrConfig, bandwidth: float, fov: float,
                    beam: PropagatedBeam, link: LinkParams) -> float:
-    """Power collected by the aligned central element.
-
-    Equivalent to the beam's encircled power inside the element's entrance
-    aperture times the array fill factor; here evaluated in closed form
-    directly from the design variables.
-    """
-    from .adr import acceptance_angle  # validation only
-
-    acceptance_angle(fov, cfg.n_tier)
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    w_spot = beam_radius(beam, link.distance - beam.waist_position)
-    return float(_received_power_raw(cfg, bandwidth, fov, w_spot, beam.power))
+    """Power collected by the aligned central element [W]."""
+    _check_point(cfg, bandwidth, fov)
+    return float(_received_power_raw(cfg, beam, link, bandwidth, fov))
 
 
 def noise_psd(nm: NoiseModel, n_pd: int, received: float = 0.0,
@@ -154,47 +150,47 @@ def noise_psd(nm: NoiseModel, n_pd: int, received: float = 0.0,
     """
     if n_pd < 1:
         raise ValueError(f"n_pd must be >= 1, got {n_pd}")
-    thermal = 4.0 * nm.boltzmann * nm.temperature / nm.load_resistance * nm.noise_figure * n_pd
+    thermal = 4.0 * BOLTZMANN * nm.temperature / nm.load_resistance * nm.noise_figure * n_pd
     if nm.mode == "thermal_only":
         return thermal
     photo = responsivity * np.asarray(received, dtype=float)
-    total = thermal + 2.0 * nm.elementary_charge * photo
+    total = thermal + 2.0 * ELEMENTARY_CHARGE * photo
     if nm.rin is not None:
         total = total + nm.rin * photo**2
     return float(total) if np.ndim(total) == 0 else total
 
 
-def _rate_raw(cfg: AdrConfig, ctx: LinkContext, b, fov):
-    """Achievable rate, array-capable, no domain validation."""
-    w_spot = spot_radius(ctx)
-    p_r = _received_power_raw(cfg, b, fov, w_spot, ctx.beam.power)
+def _budget_raw(cfg: AdrConfig, ctx: LinkContext, b, fov) -> tuple:
+    """(P_r, N0, SNR, rate) at design points, array-capable, no validation.
+
+    SNR = (R P_r)^2 / (N0 B) at the EGC output; rate = B log2(1 + SNR / gap).
+    """
+    p_r = _received_power_raw(cfg, ctx.beam, ctx.link, b, fov)
     n0 = noise_psd(ctx.noise, cfg.n_pd, p_r, ctx.link.responsivity)
     b = np.asarray(b, dtype=float)
-    s = (ctx.link.responsivity * p_r) ** 2 / (n0 * b)
-    return b * np.log2(1.0 + s / ctx.link.snr_gap)
+    snr = (ctx.link.responsivity * p_r) ** 2 / (n0 * b)
+    return p_r, n0, snr, b * np.log2(1.0 + snr / ctx.link.snr_gap)
 
 
-def snr(cfg: AdrConfig, bandwidth: float, fov: float, ctx: LinkContext) -> float:
-    """Electrical SNR at the EGC output of the central element."""
-    p_r = received_power(cfg, bandwidth, fov, ctx.beam, ctx.link)
-    n0 = noise_psd(ctx.noise, cfg.n_pd, p_r, ctx.link.responsivity)
-    return (ctx.link.responsivity * p_r) ** 2 / (n0 * bandwidth)
+def _rate_raw(cfg: AdrConfig, ctx: LinkContext, b, fov):
+    """Achievable rate, array-capable, no domain validation."""
+    return _budget_raw(cfg, ctx, b, fov)[3]
 
 
 def achievable_rate(cfg: AdrConfig, bandwidth: float, fov: float, ctx: LinkContext) -> float:
     """Rate R = B log2(1 + SNR / gap) at a design point [bit/s]."""
-    return bandwidth * math.log2(1.0 + snr(cfg, bandwidth, fov, ctx) / ctx.link.snr_gap)
+    _check_point(cfg, bandwidth, fov)
+    return float(_rate_raw(cfg, ctx, bandwidth, fov))
 
 
 def link_budget(cfg: AdrConfig, bandwidth: float, fov: float, ctx: LinkContext) -> LinkBudget:
     """Evaluate the whole budget at one design point."""
-    p_r = received_power(cfg, bandwidth, fov, ctx.beam, ctx.link)
-    n0 = float(noise_psd(ctx.noise, cfg.n_pd, p_r, ctx.link.responsivity))
-    s = (ctx.link.responsivity * p_r) ** 2 / (n0 * bandwidth)
+    _check_point(cfg, bandwidth, fov)
+    p_r, n0, snr, rate = (float(x) for x in _budget_raw(cfg, ctx, bandwidth, fov))
     return LinkBudget(
         received_power=p_r,
         noise_psd=n0,
-        snr=s,
-        rate=bandwidth * math.log2(1.0 + s / ctx.link.snr_gap),
+        snr=snr,
+        rate=rate,
         rin_included=ctx.noise.mode == "full" and ctx.noise.rin is not None,
     )

@@ -12,11 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "THETA_CPC_MAX",
     "CpcSpec",
     "CpcGeometry",
     "TruncationSpec",
+    "cpc_entrance_diameter",
+    "cpc_length",
     "cpc_derive",
     "apply_truncation",
 ]
@@ -26,7 +30,9 @@ __all__ = [
 # never exceed 30 deg.
 THETA_CPC_MAX = math.pi / 6
 
-_CAP_SLACK = 1.0 + 1e-12  # tolerate 1-ulp overshoot when theta is derived from pi/2
+# Relative slack of every FOV and acceptance-angle cap test: tolerates the
+# 1-ulp overshoot of an angle derived from pi/2.
+CAP_SLACK = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,7 @@ class CpcSpec:
     exit_diameter: float = 1.5e-3  # [m]
 
     def __post_init__(self):
-        if not 0 < self.acceptance_angle <= THETA_CPC_MAX * _CAP_SLACK:
+        if not 0 < self.acceptance_angle <= THETA_CPC_MAX * CAP_SLACK:
             raise ValueError(
                 f"acceptance_angle {math.degrees(self.acceptance_angle):.3f} deg outside "
                 f"(0, 30] deg; angles above 30 deg are unreachable for a receiver whose "
@@ -88,22 +94,26 @@ class TruncationSpec:
             raise ValueError(f"gain_retention must be in (0, 1], got {self.gain_retention}")
 
 
-def cpc_derive(spec: CpcSpec) -> CpcGeometry:
-    """Closed-form gain, entrance aperture and length of a full CPC.
+def cpc_entrance_diameter(exit_diameter, refractive_index: float, theta):
+    """Etendue-limited entrance aperture D1 = D2 n / sin(theta). Array-capable."""
+    return exit_diameter * refractive_index / np.sin(theta)
 
-    gain = n^2 / sin^2(theta)
-    D1   = D2 * n / sin(theta)
-    L    = (D1 + D2) / (2 tan(theta))
-    """
-    theta = spec.acceptance_angle
-    sin_t = math.sin(theta)
-    d1 = spec.exit_diameter * spec.refractive_index / sin_t
+
+def cpc_length(entrance_diameter, exit_diameter, theta):
+    """Full CPC length L = (D1 + D2) / (2 tan(theta)). Array-capable."""
+    return (entrance_diameter + exit_diameter) / (2.0 * np.tan(theta))
+
+
+def cpc_derive(spec: CpcSpec) -> CpcGeometry:
+    """Gain, entrance aperture and length of a full CPC; gain = (D1 / D2)^2 = n^2 / sin^2(theta)."""
+    theta, d2 = spec.acceptance_angle, spec.exit_diameter
+    d1 = float(cpc_entrance_diameter(d2, spec.refractive_index, theta))
     return CpcGeometry(
         acceptance_angle=theta,
-        exit_diameter=spec.exit_diameter,
+        exit_diameter=d2,
         entrance_diameter=d1,
-        length=(d1 + spec.exit_diameter) / (2.0 * math.tan(theta)),
-        gain=(spec.refractive_index / sin_t) ** 2,
+        length=float(cpc_length(d1, d2, theta)),
+        gain=(d1 / d2) ** 2,
     )
 
 

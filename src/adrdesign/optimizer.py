@@ -22,8 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import adr
-from .adr import AdrConfig, fov_cap, ring_sum
-from .link import LinkContext, _rate_raw, noise_psd, spot_radius
+from .adr import AdrConfig, fov_cap, fov_valid, require_positive, ring_sum
+from .link import LinkContext, _rate_raw, _received_power_raw, noise_psd, spot_radius
+from .optics import CAP_SLACK
 
 __all__ = [
     "ConstraintSet",
@@ -34,7 +35,6 @@ __all__ = [
     "dimension_boundary",
     "invert_dimension_boundary",
     "unified_boundary",
-    "maximize_rate_fov_only",
     "maximize_rate_constrained",
     "analytic_gradients",
     "golden_max",
@@ -60,14 +60,13 @@ class ConstraintSet:
     a_max: Optional[float] = None  # [m^2]
 
     def __post_init__(self):
-        if not 0 < self.fov_min <= math.pi / 2 * (1 + 1e-12):
+        if not 0 < self.fov_min <= math.pi / 2 * CAP_SLACK:
             raise ValueError(
                 f"fov_min {math.degrees(self.fov_min):.3f} deg outside (0, 90] deg"
             )
-        if self.l_max is not None and self.l_max <= 0:
-            raise ValueError(f"l_max must be positive, got {self.l_max}")
-        if self.a_max is not None and self.a_max <= 0:
-            raise ValueError(f"a_max must be positive, got {self.a_max}")
+        for name in ("l_max", "a_max"):
+            if getattr(self, name) is not None:
+                require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -105,19 +104,15 @@ class RateGradients:
     d_d1_d_theta: float
 
 
-def _boundary_height(cfg: AdrConfig, theta, l_max: float):
-    """B on the height boundary as a function of theta (array-capable)."""
-    s, t = np.sin(theta), np.tan(theta)
-    return cfg.tau * adr.k1(cfg) / l_max * (cfg.n_cpc + s) / (s * t)
+# Each dimension is coeff(theta) / B^power: height h(theta) / B, top area
+# a(theta) / B^2. Its boundary is B = (coeff(theta) / bound)^(1 / power).
+_DIMENSIONS = {"height": (adr._height_coeff, 1), "area": (adr._area_coeff, 2)}
 
 
-def _boundary_area(cfg: AdrConfig, theta, a_max: float):
-    """B on the area boundary as a function of theta (array-capable)."""
-    s = np.sin(theta)
-    return np.sqrt(cfg.gain_retention * adr.k2(cfg) * ring_sum(cfg.n_tier, theta) / a_max) / s
-
-
-_BOUNDARIES = {"height": _boundary_height, "area": _boundary_area}
+def _boundary(cfg: AdrConfig, which: str, theta, bound: float):
+    """B at which the dimension equals its bound, as a function of theta (array-capable)."""
+    coeff, power = _DIMENSIONS[which]
+    return (coeff(cfg, theta) / bound) ** (1.0 / power)
 
 
 def dimension_boundary(cfg: AdrConfig, which: str, fov: float, bound: float) -> float:
@@ -126,12 +121,11 @@ def dimension_boundary(cfg: AdrConfig, which: str, fov: float, bound: float) -> 
     Truncation constants are folded in, so the bound applies to the
     truncated dimension when the configuration carries a truncation.
     """
-    if which not in _BOUNDARIES:
+    if which not in _DIMENSIONS:
         raise ValueError(f"which must be 'height' or 'area', got {which!r}")
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
+    require_positive("bound", bound)
     theta = adr.acceptance_angle(fov, cfg.n_tier)
-    return float(_BOUNDARIES[which](cfg, theta, bound))
+    return float(_boundary(cfg, which, theta, bound))
 
 
 def _invert_boundary_grid(cfg: AdrConfig, which: str, b, bound: float,
@@ -140,17 +134,20 @@ def _invert_boundary_grid(cfg: AdrConfig, which: str, b, bound: float,
 
     Returns the FOV on the boundary for each bandwidth, +inf where the
     bandwidth lies below the boundary image (bound violated at every FOV).
+    Each step compares coeff(theta) with its boundary value bound * B^power,
+    which needs no root.
     """
-    fn = _BOUNDARIES[which]
+    coeff, power = _DIMENSIONS[which]
     cap = fov_cap(cfg.n_tier)
     divisor = 2 * cfg.n_tier + 1
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    below_image = b < fn(cfg, cap / divisor, bound)
+    target = bound * b**power
+    below_image = coeff(cfg, cap / divisor) > target
     lo = np.full(b.shape, 1e-9)
     hi = np.full(b.shape, cap)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        too_small = fn(cfg, mid / divisor, bound) > b  # boundary decreasing in FOV
+        too_small = coeff(cfg, mid / divisor) > target  # dimension decreasing in FOV
         lo = np.where(too_small, mid, lo)
         hi = np.where(too_small, hi, mid)
     out = 0.5 * (lo + hi)
@@ -165,12 +162,10 @@ def invert_dimension_boundary(cfg: AdrConfig, which: str, bandwidth: float,
     |f(FOV) - B| / B is driven below 1e-10. Raises BoundaryOutOfRange when
     the bandwidth is below the boundary image.
     """
-    if which not in _BOUNDARIES:
+    if which not in _DIMENSIONS:
         raise ValueError(f"which must be 'height' or 'area', got {which!r}")
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
+    require_positive("bandwidth", bandwidth)
+    require_positive("bound", bound)
     fov = float(_invert_boundary_grid(cfg, which, bandwidth, bound)[0])
     if not math.isfinite(fov):
         raise BoundaryOutOfRange(
@@ -191,8 +186,7 @@ def _unified_grid(cfg: AdrConfig, cs: ConstraintSet, b) -> np.ndarray:
         out = np.maximum(out, _invert_boundary_grid(cfg, "height", b, cs.l_max))
     if cs.a_max is not None:
         out = np.maximum(out, _invert_boundary_grid(cfg, "area", b, cs.a_max))
-    cap = fov_cap(cfg.n_tier)
-    return np.where(out <= cap * (1 + 1e-12), out, np.inf)
+    return np.where(fov_valid(cfg.n_tier, out), out, np.inf)
 
 
 def unified_boundary(cfg: AdrConfig, cs: ConstraintSet, bandwidth: float) -> float:
@@ -200,8 +194,7 @@ def unified_boundary(cfg: AdrConfig, cs: ConstraintSet, bandwidth: float) -> flo
     inverse dimension boundaries. Returns +inf when the bandwidth is
     infeasible (required FOV above the admissible cap); infeasibility is a
     value here, not an error."""
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    require_positive("bandwidth", bandwidth)
     return float(_unified_grid(cfg, cs, bandwidth)[0])
 
 
@@ -241,7 +234,7 @@ def _active_constraints(cfg: AdrConfig, cs: ConstraintSet, b: float, fov: float,
 def _infeasible_diagnostic(cfg: AdrConfig, cs: ConstraintSet, opts: SolverOptions) -> str:
     cap = fov_cap(cfg.n_tier)
     parts = []
-    if cs.fov_min > cap * (1 + 1e-12):
+    if not fov_valid(cfg.n_tier, cs.fov_min):
         parts.append(
             f"fov_min {math.degrees(cs.fov_min):.2f} deg exceeds the "
             f"{math.degrees(cap):.2f} deg cap for {cfg.n_tier} tier(s)"
@@ -249,13 +242,13 @@ def _infeasible_diagnostic(cfg: AdrConfig, cs: ConstraintSet, opts: SolverOption
     for which, bound in (("height", cs.l_max), ("area", cs.a_max)):
         if bound is None:
             continue
-        b_needed = float(_BOUNDARIES[which](cfg, cs.fov_min / (2 * cfg.n_tier + 1), bound))
+        b_needed = float(_boundary(cfg, which, cs.fov_min / (2 * cfg.n_tier + 1), bound))
         if b_needed > opts.b_max:
             parts.append(
                 f"{which} bound {bound:g} needs B >= {b_needed / 1e9:.3g} GHz at "
                 f"fov_min, above the search range"
             )
-        b_floor = float(_BOUNDARIES[which](cfg, cap / (2 * cfg.n_tier + 1), bound))
+        b_floor = float(_boundary(cfg, which, cap / (2 * cfg.n_tier + 1), bound))
         if b_floor > opts.b_max:
             parts.append(
                 f"{which} bound {bound:g} is unreachable below "
@@ -310,16 +303,6 @@ def maximize_rate_constrained(cfg: AdrConfig, ctx: LinkContext, cs: ConstraintSe
     )
 
 
-def maximize_rate_fov_only(cfg: AdrConfig, ctx: LinkContext, fov_min: float,
-                           options: Optional[SolverOptions] = None) -> OptimumResult:
-    """Maximise the rate when only the minimum-FOV constraint applies.
-
-    The rate decreases with FOV, so the optimum sits on FOV = fov_min and
-    the problem is a single-variable search over B.
-    """
-    return maximize_rate_constrained(cfg, ctx, ConstraintSet(fov_min=fov_min), options)
-
-
 def analytic_gradients(cfg: AdrConfig, ctx: LinkContext, bandwidth: float,
                        fov: float) -> RateGradients:
     """Closed-form partial derivatives at an interior design point.
@@ -331,33 +314,29 @@ def analytic_gradients(cfg: AdrConfig, ctx: LinkContext, bandwidth: float,
     """
     theta = adr.acceptance_angle(fov, cfg.n_tier)
     cap = fov_cap(cfg.n_tier)
-    if not (1e-9 < fov < cap * (1 - 1e-12)):
+    if not (1e-9 < fov < cap / CAP_SLACK):
         raise ValueError(
             f"FOV {math.degrees(fov):.3f} deg is not interior to (0, "
             f"{math.degrees(cap):.1f}) deg"
         )
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    require_positive("bandwidth", bandwidth)
     if ctx.noise.mode != "thermal_only":
         raise ValueError("analytic gradients assume the thermal-only noise model")
 
     divisor = 2 * cfg.n_tier + 1
     s, c, t = math.sin(theta), math.cos(theta), math.tan(theta)
-    k1 = adr.k1(cfg)
-    k2 = adr.k2(cfg)
-    root_g = math.sqrt(cfg.gain_retention)
+    d2 = adr._exit_diameter(cfg, bandwidth)
+    d1 = float(adr._entrance_diameter(cfg, bandwidth, theta))
+    area = float(adr._top_area(cfg, bandwidth, theta))
+    p_r = float(_received_power_raw(cfg, ctx.beam, ctx.link, bandwidth, fov))
     w_spot = spot_radius(ctx)
-    p_t = ctx.beam.power
-    ff = cfg.fill_factor
     r_pd = ctx.link.responsivity
 
-    d1 = root_g * (2.0 * k1 / bandwidth) * cfg.n_cpc / s
-    d_d1_d_theta = -root_g * (2.0 * k1 / bandwidth) * cfg.n_cpc * c / s**2
-
-    p_r = ff * p_t * (1.0 - math.exp(-(d1**2) / (2.0 * w_spot**2)))
-    d_pr_d_theta = (
-        ff * p_t * d1 / w_spot**2 * math.exp(-(d1**2) / (2.0 * w_spot**2)) * d_d1_d_theta
-    )
+    d_d1_d_theta = -d1 / t  # D1 is proportional to 1 / sin(theta)
+    # d/dD1 of FF P_t (1 - exp(-D1^2 / (2 w^2))); the exponential is kept
+    # explicit because FF P_t - P_r cancels once the aperture saturates
+    d_pr_d_theta = (cfg.fill_factor * ctx.beam.power * d1 / w_spot**2
+                    * math.exp(-(d1**2) / (2.0 * w_spot**2)) * d_d1_d_theta)
     n0 = float(noise_psd(ctx.noise, cfg.n_pd))
     gap = ctx.link.snr_gap
     d_rate_d_pr = (2.0 * bandwidth / math.log(2.0)) * (
@@ -365,16 +344,12 @@ def analytic_gradients(cfg: AdrConfig, ctx: LinkContext, bandwidth: float,
     )
     d_rate_d_fov = d_rate_d_pr * d_pr_d_theta / divisor
 
-    d_height_d_theta = -cfg.tau * (k1 / bandwidth) * (
-        (2.0 * cfg.n_cpc * s + cfg.n_cpc * s * t**2 + t**2) / (s**2 * t**2)
-    )
+    d_height_d_theta = -cfg.tau * d2 * (cfg.n_cpc * (1.0 + c * c) / s + 1.0) / (2.0 * s * s)
     ring = float(ring_sum(cfg.n_tier, theta))
     ring_slope = -sum(
         12.0 * i * i * math.sin(2 * i * theta) for i in range(1, cfg.n_tier + 1)
     )
-    d_area_d_theta = cfg.gain_retention * (k2 / bandwidth**2) * (
-        -2.0 * c * ring / s**3 + ring_slope / s**2
-    )
+    d_area_d_theta = area * (ring_slope / ring - 2.0 / t)
     return RateGradients(
         d_rate_d_fov=d_rate_d_fov,
         d_height_d_fov=d_height_d_theta / divisor,

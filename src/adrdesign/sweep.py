@@ -20,7 +20,7 @@ from . import adr as adr_mod
 from .adr import AdrConfig, PdPhysical
 from .beam import PropagatedBeam
 from .link import LinkContext, LinkParams, NoiseModel, _rate_raw
-from .optics import TruncationSpec
+from .optics import CAP_SLACK, TruncationSpec
 from .optimizer import ConstraintSet, SolverOptions, _unified_grid, maximize_rate_constrained
 
 __all__ = [
@@ -96,6 +96,16 @@ def _cells_json(values: np.ndarray) -> list:
     return flat
 
 
+def _grid_csv(axes: tuple, column: str, cells: list) -> str:
+    """One CSV row per (axis0, axis1) cell; axis values are written as floats, like cells[i][j]."""
+    a0, a1 = axes
+    lines = [f"{a0.name}_{a0.unit},{a1.name}_{a1.unit},{column}"]
+    for x, row in zip(a0.values().tolist(), cells):
+        for y, cell in zip(a1.values().tolist(), row):
+            lines.append(f"{x!r},{y!r},{cell}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Row-major 2-D grid of one evaluated quantity plus its provenance."""
@@ -118,14 +128,8 @@ class Grid2D:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
 
     def to_csv(self) -> str:
-        a0, a1 = self.axes
-        q = self.metadata.get("quantity", "value")
-        lines = [f"{a0.name}_{a0.unit},{a1.name}_{a1.unit},{q}"]
-        v0, v1 = a0.values(), a1.values()
-        for i in range(a0.count):
-            for j in range(a1.count):
-                lines.append(f"{v0[i]!r},{v1[j]!r},{float(self.values[i, j])!r}")
-        return "\n".join(lines) + "\n"
+        cells = [[repr(v) for v in row] for row in self.values.tolist()]
+        return _grid_csv(self.axes, self.metadata.get("quantity", "value"), cells)
 
 
 @dataclass(frozen=True)
@@ -152,14 +156,7 @@ class RegionMask:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
 
     def to_csv(self) -> str:
-        a0, a1 = self.axes
-        lines = [f"{a0.name}_{a0.unit},{a1.name}_{a1.unit},label"]
-        v0, v1 = a0.values(), a1.values()
-        names = self.label_names()
-        for i in range(a0.count):
-            for j in range(a1.count):
-                lines.append(f"{v0[i]!r},{v1[j]!r},{names[i, j]}")
-        return "\n".join(lines) + "\n"
+        return _grid_csv(self.axes, "label", self.label_names().tolist())
 
 
 @dataclass(frozen=True)
@@ -234,12 +231,17 @@ def _metadata(op: str, cfg: AdrConfig, ctx: LinkContext, quantity: str,
     }
 
 
+def _fov_row(axes: tuple) -> np.ndarray:
+    """The FOV axis in radians, shaped to broadcast against B down the rows."""
+    return np.radians(axes[1].values())[None, :]
+
+
 def _grid_arrays(cfg: AdrConfig, ctx: LinkContext, quantity: str,
-                 axes: tuple) -> np.ndarray:
+                 axes: tuple) -> tuple:
+    """(values at every cell, FOV within the cap) of rate, height or area on the (B, FOV) grid."""
     b = axes[0].values()[:, None]
-    fov = np.radians(axes[1].values())[None, :]
+    fov = _fov_row(axes)
     theta = fov / (2 * cfg.n_tier + 1)
-    valid = theta <= math.pi / 6 * (1 + 1e-12)
     with np.errstate(all="ignore"):
         if quantity == "rate":
             vals = _rate_raw(cfg, ctx, b, fov)
@@ -249,17 +251,18 @@ def _grid_arrays(cfg: AdrConfig, ctx: LinkContext, quantity: str,
             vals = adr_mod._top_area(cfg, b, theta)
         else:
             raise ValueError(f"quantity must be rate, height or area, got {quantity!r}")
-    return np.where(valid, vals, np.nan)
+    return vals, adr_mod.fov_valid(cfg.n_tier, fov)
 
 
 def grid_sweep(cfg: AdrConfig, ctx: LinkContext, quantity: str, axes: tuple,
                config_name: str = "", timestamp: Optional[str] = None) -> Grid2D:
     """Evaluate rate, height or area on a (B, FOV) grid.
 
-    Cells whose implied acceptance angle exceeds the 30 deg cap are set to
-    NaN. B axis is in Hz, FOV axis in degrees.
+    Cells whose FOV lies above fov_cap(n_tier) (90 deg, and 30 deg per
+    acceptance cone) are set to NaN. B axis is in Hz, FOV axis in degrees.
     """
-    vals = _grid_arrays(cfg, ctx, quantity, axes)
+    vals, valid = _grid_arrays(cfg, ctx, quantity, axes)
+    vals = np.where(valid, vals, np.nan)
     meta = _metadata("grid_sweep", cfg, ctx, quantity, {}, config_name, timestamp)
     return Grid2D(axes=tuple(axes), values=vals, metadata=meta)
 
@@ -268,10 +271,9 @@ def design_space(cfg: AdrConfig, ctx: LinkContext, r_min: float, fov_min: float,
                  axes: tuple, config_name: str = "",
                  timestamp: Optional[str] = None) -> RegionMask:
     """Cells meeting both a minimum rate and a minimum FOV."""
-    rates = _grid_arrays(cfg, ctx, "rate", axes)
-    fov = np.radians(axes[1].values())[None, :]
-    fov_ok = np.broadcast_to(fov >= fov_min * (1 - 1e-12), rates.shape)
-    ok = (np.nan_to_num(rates, nan=-1.0) >= r_min) & fov_ok
+    rates, valid = _grid_arrays(cfg, ctx, "rate", axes)
+    fov_ok = np.broadcast_to(_fov_row(axes) >= fov_min / CAP_SLACK, rates.shape)
+    ok = (rates >= r_min) & valid & fov_ok
     labels = np.full(rates.shape, MASK_LABELS.index("feasible"), dtype=np.int8)
     labels[~fov_ok] = MASK_LABELS.index("infeasible_fov")
     labels[ok] = MASK_LABELS.index("design_space")
@@ -287,16 +289,10 @@ def feasible_region(cfg: AdrConfig, ctx: LinkContext, cs: ConstraintSet, axes: t
     Violation precedence when several constraints fail at once:
     height > area > fov.
     """
-    b = axes[0].values()[:, None]
-    fov = np.radians(axes[1].values())[None, :]
-    theta = fov / (2 * cfg.n_tier + 1)
-    valid = theta <= math.pi / 6 * (1 + 1e-12)
-    with np.errstate(all="ignore"):
-        height = adr_mod._height(cfg, b, theta)
-        area = adr_mod._top_area(cfg, b, theta)
-    labels = np.full(np.broadcast(b, fov).shape, MASK_LABELS.index("feasible"),
-                     dtype=np.int8)
-    bad_fov = (fov < cs.fov_min * (1 - 1e-12)) | ~valid
+    height, valid = _grid_arrays(cfg, ctx, "height", axes)
+    area, _ = _grid_arrays(cfg, ctx, "area", axes)
+    bad_fov = (_fov_row(axes) < cs.fov_min / CAP_SLACK) | ~valid
+    labels = np.full(height.shape, MASK_LABELS.index("feasible"), dtype=np.int8)
     labels = np.where(np.broadcast_to(bad_fov, labels.shape),
                       MASK_LABELS.index("infeasible_fov"), labels)
     if cs.a_max is not None:

@@ -30,7 +30,6 @@ from adrdesign import (
     grid_sweep,
     invert_dimension_boundary,
     maximize_rate_constrained,
-    maximize_rate_fov_only,
     preset,
     received_power,
     rmax_vs_fovmin,
@@ -81,7 +80,7 @@ def test_criterion_03_peak_rates(ctx10):
     details = []
     for name, (rate_t, b_t) in targets.items():
         t0 = time.perf_counter()
-        res = maximize_rate_fov_only(preset(name), ctx10, FOV30)
+        res = maximize_rate_constrained(preset(name), ctx10, ConstraintSet(FOV30))
         dt = time.perf_counter() - t0
         good = (
             res.feasible

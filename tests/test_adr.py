@@ -17,7 +17,7 @@ from adrdesign import (
     pd_side_from_bandwidth,
     preset,
 )
-from adrdesign.adr import DEFAULT_K_PD, k_pd_from_physical
+from adrdesign.adr import DEFAULT_K_PD, EPSILON_0, k_pd_from_physical
 from conftest import random_design_points
 
 B_REF = 2.1e9
@@ -66,6 +66,16 @@ def test_pd_side_domain():
         pd_side_from_bandwidth(0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_bandwidth_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        pd_side_from_bandwidth(bad)
+    with pytest.raises(ValueError, match="finite"):
+        pd_side_from_bandwidth(2e9, bad)
+    with pytest.raises(ValueError, match="finite"):
+        geometry(preset("config1"), bad, FOV30)
+
+
 PHYS = PdPhysical(relative_permittivity=11.7, load_resistance=135.0,
                   saturation_velocity=1e5)
 
@@ -74,7 +84,7 @@ def test_bandwidth_full_at_optimal_thickness_matches_bound():
     area = (60e-6) ** 2
     # stationary thickness of the bandwidth denominator
     ell_opt = math.sqrt(
-        2 * math.pi * PHYS.load_resistance * PHYS.permittivity_vacuum
+        2 * math.pi * PHYS.load_resistance * EPSILON_0
         * PHYS.relative_permittivity * area * 0.44 * PHYS.saturation_velocity
     )
     phys = PdPhysical(11.7, 135.0, 1e5, depletion_thickness=ell_opt)

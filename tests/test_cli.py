@@ -51,6 +51,13 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text("[links]\ndistance_m = 3\n")
     with pytest.raises(ConfigError, match="links"):
         load_config(str(path))
+    # keys that did nothing are gone
+    path.write_text("[beam]\neye_safety_check = false\n")
+    with pytest.raises(ConfigError, match="eye_safety_check"):
+        load_config(str(path))
+    path.write_text("[link]\nber = 3.8e-3\n")
+    with pytest.raises(ConfigError, match="ber"):
+        load_config(str(path))
 
 
 def test_custom_adr_section(tmp_path):
@@ -192,6 +199,15 @@ def test_sweep_command_artifacts_deterministic(tmp_path):
     header = first_csv.decode().splitlines()[0]
     assert header == "b_Hz,fov_deg,rate"
     json.loads(first_json)
+
+
+def test_sweep_command_without_valid_cells_writes_nothing(tmp_path, capsys):
+    rc = main(["sweep", "rate", "--preset", "config1", "--fov-lo", "95deg",
+               "--fov-hi", "100deg", "--nb", "4", "--nfov", "4", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--fov-lo" in err and "--fov-hi" in err and "90 deg FOV cap" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calibrate_command(tmp_path, capsys):

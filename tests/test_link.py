@@ -5,7 +5,9 @@ import pytest
 
 from adrdesign import (
     LinkContext,
+    LinkParams,
     NoiseModel,
+    PropagatedBeam,
     TruncationSpec,
     achievable_rate,
     encircled_power,
@@ -16,7 +18,7 @@ from adrdesign import (
     preset,
     received_power,
 )
-from adrdesign.link import BOLTZMANN, _rate_raw
+from adrdesign.link import BOLTZMANN, ELEMENTARY_CHARGE, _rate_raw
 from conftest import random_design_points
 
 FOV30 = math.radians(30.0)
@@ -51,6 +53,26 @@ def test_received_power_reference_value(ctx10):
     assert p == pytest.approx(9.907373e-5, rel=1e-6)  # about 99 uW
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scalar_views_reject_non_finite_bandwidth(ctx10, bad):
+    cfg = preset("config1")
+    with pytest.raises(ValueError, match="finite"):
+        received_power(cfg, bad, FOV30, ctx10.beam, ctx10.link)
+    with pytest.raises(ValueError, match="finite"):
+        achievable_rate(cfg, bad, FOV30, ctx10)
+    with pytest.raises(ValueError, match="finite"):
+        link_budget(cfg, bad, FOV30, ctx10)
+
+
+def test_context_enforces_eye_safety_cap(ctx10):
+    hot = PropagatedBeam(ctx10.beam.waist_radius, ctx10.beam.rayleigh_range,
+                         ctx10.beam.waist_position, power=0.020)
+    with pytest.raises(ValueError, match="eye-safety"):
+        LinkContext(beam=hot, link=LinkParams(), noise=NoiseModel())
+    assert LinkContext(beam=hot, link=LinkParams(transmit_power_cap=0.025),
+                       noise=NoiseModel()).beam.power == 0.020
+
+
 def test_noise_psd_thermal_reference():
     nm = NoiseModel()
     expected = 4 * BOLTZMANN * 300.0 / 1150.0 * 10 ** 0.5
@@ -65,7 +87,7 @@ def test_noise_psd_full_mode():
         noise_psd(NoiseModel(), 4), rel=1e-14
     )
     p_r = 1e-4
-    shot = 2 * nm.elementary_charge * 0.6 * p_r
+    shot = 2 * ELEMENTARY_CHARGE * 0.6 * p_r
     assert noise_psd(nm, 4, p_r, 0.6) == pytest.approx(
         noise_psd(NoiseModel(), 4) + shot, rel=1e-12
     )

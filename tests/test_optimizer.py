@@ -14,7 +14,6 @@ from adrdesign import (
     geometry,
     invert_dimension_boundary,
     maximize_rate_constrained,
-    maximize_rate_fov_only,
     preset,
     unified_boundary,
 )
@@ -97,6 +96,24 @@ def test_below_image_signals_out_of_range():
         invert_dimension_boundary(cfg, "height", 0.5 * floor, 0.01)
 
 
+def test_boundaries_reject_non_finite_input():
+    cfg = preset("config1")
+    cs = ConstraintSet(fov_min=FOV30, l_max=0.01)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dimension_boundary(cfg, "height", FOV30, bad)
+        with pytest.raises(ValueError, match="finite"):
+            invert_dimension_boundary(cfg, "area", bad, 1e-4)
+        with pytest.raises(ValueError, match="finite"):
+            invert_dimension_boundary(cfg, "area", 2e9, bad)
+        with pytest.raises(ValueError, match="finite"):
+            unified_boundary(cfg, cs, bad)
+        with pytest.raises(ValueError, match="l_max"):
+            ConstraintSet(fov_min=FOV30, l_max=bad)
+        with pytest.raises(ValueError, match="a_max"):
+            ConstraintSet(fov_min=FOV30, a_max=bad)
+
+
 def test_invalid_boundary_name():
     with pytest.raises(ValueError):
         dimension_boundary(preset("config1"), "width", FOV30, 0.01)
@@ -165,7 +182,7 @@ def test_fov_only_reference_peaks(ctx10):
         "config3": (24.73866e9, 3.4744e9),
     }
     for name, (rate, b) in expected.items():
-        res = maximize_rate_fov_only(preset(name), ctx10, FOV30)
+        res = maximize_rate_constrained(preset(name), ctx10, ConstraintSet(FOV30))
         assert res.feasible
         assert res.rate_star == pytest.approx(rate, rel=1e-4)
         assert res.b_star == pytest.approx(b, rel=1e-2)
@@ -176,11 +193,11 @@ def test_fov_only_reference_peaks(ctx10):
 def _largest_fov_with_rate(cfg, ctx, target):
     """Largest minimum-FOV whose best achievable rate still meets target."""
     lo, hi = math.radians(5), fov_cap(cfg.n_tier)
-    if maximize_rate_fov_only(cfg, ctx, lo).rate_star < target:
+    if maximize_rate_constrained(cfg, ctx, ConstraintSet(lo)).rate_star < target:
         return None
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if maximize_rate_fov_only(cfg, ctx, mid).rate_star >= target:
+        if maximize_rate_constrained(cfg, ctx, ConstraintSet(mid)).rate_star >= target:
             lo = mid
         else:
             hi = mid
@@ -294,8 +311,9 @@ def test_truncation_effect_on_optima(ctx16):
     # (bounded by the gain retention); with the height bound active at the
     # original optimum it wins
     for name in ("config1", "config2", "config3"):
-        free_o = maximize_rate_fov_only(preset(name), ctx16, FOV30)
-        free_t = maximize_rate_fov_only(preset(name, truncation=TRUNC), ctx16, FOV30)
+        free_o = maximize_rate_constrained(preset(name), ctx16, ConstraintSet(FOV30))
+        free_t = maximize_rate_constrained(preset(name, truncation=TRUNC), ctx16,
+                                           ConstraintSet(FOV30))
         assert free_t.rate_star <= free_o.rate_star
         assert (free_o.rate_star - free_t.rate_star) / free_o.rate_star <= 0.10
 

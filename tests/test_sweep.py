@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,25 @@ def test_serialisation_round_trip_and_regeneration(ctx10):
     assert len(doc["values"]) == 1600
     header = grid.to_csv().splitlines()[0]
     assert header == "b_Hz,fov_deg,rate"
+
+
+def test_csv_fields_are_numbers(ctx10):
+    # every axis and value field of a map, and both axis fields of a mask,
+    # parse as floats; NaN cells are written as "nan"
+    axes = small_axes(4, 4)
+    cfg = replace(preset("config1"), n_tier=0)
+    grid_csv = grid_sweep(cfg, ctx10, "rate", axes).to_csv()
+    mask_csv = feasible_region(cfg, ctx10, ConstraintSet(0.5, 0.01, 1e-4), axes).to_csv()
+    for text, numeric in ((grid_csv, 3), (mask_csv, 2)):
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 16
+        for row in rows:
+            assert len(row) == 3
+            for field in row[:numeric]:
+                float(field)
+    assert "nan" in grid_csv
+    first = grid_csv.splitlines()[1].split(",")
+    assert first[:2] == [repr(float(axes[0].values()[0])), repr(float(axes[1].values()[0]))]
 
 
 def test_mask_regeneration_byte_identical(ctx10):
