@@ -49,6 +49,12 @@ def require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def require_at_least(name: str, value, floor: float) -> None:
+    """Reject a scalar input that is not finite or lies below floor (NaN passes `< floor`)."""
+    if not floor <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= {floor:g}, got {value}")
+
+
 @dataclass(frozen=True)
 class PdPhysical:
     """Physical PD constants for deriving the area-bandwidth constant.
@@ -65,10 +71,9 @@ class PdPhysical:
 
     def __post_init__(self):
         for name in ("relative_permittivity", "load_resistance", "saturation_velocity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.depletion_thickness is not None and self.depletion_thickness <= 0:
-            raise ValueError("depletion_thickness must be positive when given")
+            require_positive(name, getattr(self, name))
+        if self.depletion_thickness is not None:
+            require_positive("depletion_thickness", self.depletion_thickness)
 
 
 @dataclass(frozen=True)
@@ -91,10 +96,8 @@ class AdrConfig:
             raise ValueError(f"n_pd must be a perfect square >= 1, got {self.n_pd}")
         if not 0 < self.fill_factor <= 1:
             raise ValueError(f"fill_factor must be in (0, 1], got {self.fill_factor}")
-        if self.n_cpc < 1:
-            raise ValueError(f"n_cpc must be >= 1, got {self.n_cpc}")
-        if self.pd_physical is None and self.k_pd <= 0:
-            raise ValueError(f"k_pd must be positive, got {self.k_pd}")
+        require_at_least("n_cpc", self.n_cpc, 1)
+        require_positive("k_pd", self.k_pd)
 
     @property
     def kpd(self) -> float:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adr import require_at_least, require_positive
+
 __all__ = [
     "SourceBeam",
     "LensSpec",
@@ -50,14 +52,10 @@ class SourceBeam:
     power: float = 0.010
 
     def __post_init__(self):
-        if self.waist_radius <= 0:
-            raise ValueError(f"waist_radius must be positive, got {self.waist_radius}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if self.medium_index < 1:
-            raise ValueError(f"medium_index must be >= 1, got {self.medium_index}")
-        if self.power < 0:
-            raise ValueError(f"power must be non-negative, got {self.power}")
+        require_positive("waist_radius", self.waist_radius)
+        require_positive("wavelength", self.wavelength)
+        require_at_least("medium_index", self.medium_index, 1)
+        require_at_least("power", self.power, 0)
 
 
 @dataclass(frozen=True)
@@ -68,12 +66,8 @@ class LensSpec:
     waist_to_lens_distance: float = 0.0
 
     def __post_init__(self):
-        if self.focal_length <= 0:
-            raise ValueError(f"focal_length must be positive, got {self.focal_length}")
-        if self.waist_to_lens_distance < 0:
-            raise ValueError(
-                f"waist_to_lens_distance must be >= 0, got {self.waist_to_lens_distance}"
-            )
+        require_positive("focal_length", self.focal_length)
+        require_at_least("waist_to_lens_distance", self.waist_to_lens_distance, 0)
 
 
 @dataclass(frozen=True)
@@ -98,12 +92,11 @@ class PropagatedBeam:
     power: float
 
     def __post_init__(self):
-        if self.waist_radius <= 0:
-            raise ValueError(f"waist_radius must be positive, got {self.waist_radius}")
-        if self.rayleigh_range <= 0:
-            raise ValueError(f"rayleigh_range must be positive, got {self.rayleigh_range}")
-        if self.power < 0:
-            raise ValueError(f"power must be non-negative, got {self.power}")
+        require_positive("waist_radius", self.waist_radius)
+        require_positive("rayleigh_range", self.rayleigh_range)
+        if not math.isfinite(self.waist_position):
+            raise ValueError(f"waist_position must be finite, got {self.waist_position}")
+        require_at_least("power", self.power, 0)
 
 
 def rayleigh_range(waist_radius: float, wavelength: float, medium_index: float = 1.0) -> float:
@@ -123,12 +116,9 @@ def rayleigh_range(waist_radius: float, wavelength: float, medium_index: float =
     float
         z_R = pi * w0^2 * n / lambda [m].
     """
-    if waist_radius <= 0:
-        raise ValueError(f"waist_radius must be positive, got {waist_radius}")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if medium_index < 1:
-        raise ValueError(f"medium_index must be >= 1, got {medium_index}")
+    require_positive("waist_radius", waist_radius)
+    require_positive("wavelength", wavelength)
+    require_at_least("medium_index", medium_index, 1)
     return math.pi * waist_radius**2 * medium_index / wavelength
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 from . import adr
 from .link import LinkContext, NoiseModel, _rate_raw
-from .optimizer import golden_max
 
 __all__ = [
     "Anchor",
@@ -79,6 +78,28 @@ def _rate_values(ctx: LinkContext, k_pd: float, load_resistance: float) -> list:
 def _residuals(anchors: tuple, values) -> dict:
     """Relative error of each value against its anchor's target."""
     return {a.name: (v - a.target) / a.target for a, v in zip(anchors, values)}
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, lo: float, hi: float, rel_tol: float) -> tuple:
+    """Golden-section maximisation of a unimodal scalar function."""
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
+            break
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
 
 
 def fit_k_pd() -> float:

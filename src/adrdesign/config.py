@@ -60,7 +60,6 @@ DEFAULTS = {
         "epsilon_r": None,
         "v_s_m_per_s": None,
         "r_l_ohm": None,
-        "depletion_um": None,
         "truncated": False,
         "truncation_tau": 0.6,
         "truncation_gamma": 0.9,
@@ -142,8 +141,6 @@ class RunConfig:
                 relative_permittivity=a["epsilon_r"],
                 load_resistance=a["r_l_ohm"],
                 saturation_velocity=a["v_s_m_per_s"],
-                depletion_thickness=(a["depletion_um"] * 1e-6
-                                     if a["depletion_um"] is not None else None),
             )
         if a["n_tier"] is not None or a["n_pd"] is not None:
             if a["n_tier"] is None or a["n_pd"] is None:

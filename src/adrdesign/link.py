@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import adr
-from .adr import AdrConfig, require_positive
+from .adr import AdrConfig, require_at_least, require_positive
 from .beam import PropagatedBeam, beam_radius, encircled_fraction
 
 __all__ = [
@@ -46,12 +46,9 @@ class LinkParams:
     transmit_power_cap: float = 0.016  # [W], eye-safety limit
 
     def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError(f"distance must be positive, got {self.distance}")
-        if self.responsivity <= 0:
-            raise ValueError(f"responsivity must be positive, got {self.responsivity}")
-        if self.snr_gap < 1:
-            raise ValueError(f"snr_gap must be >= 1, got {self.snr_gap}")
+        for name in ("distance", "responsivity", "transmit_power_cap"):
+            require_positive(name, getattr(self, name))
+        require_at_least("snr_gap", self.snr_gap, 1)
 
 
 @dataclass(frozen=True)
@@ -70,14 +67,13 @@ class NoiseModel:
     rin: Optional[float] = None  # [1/Hz]
 
     def __post_init__(self):
-        if self.temperature <= 0 or self.load_resistance <= 0:
-            raise ValueError("temperature and load_resistance must be positive")
-        if self.noise_figure < 1:
-            raise ValueError(f"noise_figure must be >= 1 (linear), got {self.noise_figure}")
+        require_positive("temperature", self.temperature)
+        require_positive("load_resistance", self.load_resistance)
+        require_at_least("noise_figure", self.noise_figure, 1)  # linear
         if self.mode not in ("thermal_only", "full"):
             raise ValueError(f"mode must be 'thermal_only' or 'full', got {self.mode!r}")
-        if self.rin is not None and self.rin < 0:
-            raise ValueError(f"rin must be >= 0, got {self.rin}")
+        if self.rin is not None:
+            require_at_least("rin", self.rin, 0)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ to a 1-D search along B: for every bandwidth the binding FOV is
 
     f_fov(B) = max(fov_min, f_height^-1(B), f_area^-1(B)),
 
-where the inverse boundary functions are obtained by bisection (each
-boundary is strictly monotone). The search itself is a dense log-spaced
-grid followed by golden-section refinement; the analytic partial
-derivatives are provided for verification, not for the search.
+where the inverse boundary functions are obtained by vectorised bisection
+(each boundary is strictly monotone). The search evaluates f_fov and the
+rate on a log-spaced bandwidth grid, then zooms the grid onto the two
+neighbours of the best cell until that bracket is narrower than the
+tolerance. The analytic partial derivatives are provided for verification,
+not for the search.
 """
 
 from __future__ import annotations
@@ -37,10 +39,7 @@ __all__ = [
     "unified_boundary",
     "maximize_rate_constrained",
     "analytic_gradients",
-    "golden_max",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class BoundaryOutOfRange(ValueError):
@@ -71,14 +70,19 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Bandwidth search range [Hz], bandwidths evaluated per grid pass, and
+    the relative width of the final bracket around B*."""
+
     b_min: float = 0.1e9
     b_max: float = 20e9
     grid_points: int = 2000
     b_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.b_min < self.b_max:
-            raise ValueError("need 0 < b_min < b_max")
+        for name in ("b_min", "b_max", "b_rel_tol"):
+            require_positive(name, getattr(self, name))
+        if not self.b_min < self.b_max:
+            raise ValueError("need b_min < b_max")
         if self.grid_points < 8:
             raise ValueError("grid_points must be >= 8")
 
@@ -198,26 +202,6 @@ def unified_boundary(cfg: AdrConfig, cs: ConstraintSet, bandwidth: float) -> flo
     return float(_unified_grid(cfg, cs, bandwidth)[0])
 
 
-def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6,
-               max_iter: int = 200) -> tuple:
-    """Golden-section maximisation of a unimodal scalar function."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
-            break
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def _active_constraints(cfg: AdrConfig, cs: ConstraintSet, b: float, fov: float,
                         rel_tol: float = 1e-6) -> frozenset:
     active = set()
@@ -261,43 +245,42 @@ def maximize_rate_constrained(cfg: AdrConfig, ctx: LinkContext, cs: ConstraintSe
                               options: Optional[SolverOptions] = None) -> OptimumResult:
     """Maximise the rate along the unified constraint boundary.
 
-    Dense log-spaced grid over the bandwidth range, then golden-section
-    refinement around the best cell. The optimum FOV is f_fov(B*); which
-    constraints are active there is reported to 1e-6 relative equality.
+    Each pass evaluates f_fov and the rate at grid_points log-spaced
+    bandwidths, then narrows the range to the two neighbours of the best
+    one. The search stops once that bracket is within b_rel_tol of its
+    upper end, or when a pass no longer narrows it (float resolution). The
+    optimum is the best (rate, B, FOV) of all passes; the boundary trace
+    is the first pass, over the whole range. Which constraints are active
+    there is reported to 1e-6 relative equality.
     """
     opts = options or SolverOptions()
-    b = np.geomspace(opts.b_min, opts.b_max, opts.grid_points)
-    fov = _unified_grid(cfg, cs, b)
-    feasible = np.isfinite(fov)
-    rates = np.full(b.shape, -np.inf)
-    if feasible.any():
+    lo, hi = opts.b_min, opts.b_max
+    rate_star, trace = -math.inf, None
+    while True:
+        b = np.geomspace(lo, hi, opts.grid_points)
+        fov = _unified_grid(cfg, cs, b)
+        feasible = np.isfinite(fov)
+        rates = np.full(b.shape, -np.inf)
         rates[feasible] = _rate_raw(cfg, ctx, b[feasible], fov[feasible])
-    trace = np.column_stack([b[feasible], fov[feasible], rates[feasible]])
-    if not feasible.any():
+        if trace is None:
+            trace = np.column_stack([b[feasible], fov[feasible], rates[feasible]])
+        i = int(np.argmax(rates))
+        if rates[i] > rate_star:
+            rate_star, b_star, fov_star = float(rates[i]), float(b[i]), float(fov[i])
+        width = hi - lo
+        lo, hi = b[max(i - 1, 0)], b[min(i + 1, len(b) - 1)]
+        if not feasible.any() or hi - lo <= opts.b_rel_tol * hi or hi - lo >= width:
+            break
+    if rate_star == -math.inf:  # no feasible bandwidth in the first pass
         return OptimumResult(
             feasible=False, b_star=math.nan, fov_star=math.nan, rate_star=math.nan,
             boundary_trace=trace, diagnostic=_infeasible_diagnostic(cfg, cs, opts),
         )
-
-    i = int(np.argmax(rates))
-    lo = b[max(i - 1, 0)]
-    hi = b[min(i + 1, len(b) - 1)]
-
-    def objective(bb: float) -> float:
-        ff = float(_unified_grid(cfg, cs, bb)[0])
-        if not math.isfinite(ff):
-            return -math.inf
-        return float(_rate_raw(cfg, ctx, bb, ff))
-
-    b_star, rate_star = golden_max(objective, lo, hi, rel_tol=opts.b_rel_tol)
-    if rates[i] > rate_star:  # keep the grid point if refinement stalled on a plateau edge
-        b_star, rate_star = float(b[i]), float(rates[i])
-    fov_star = float(_unified_grid(cfg, cs, b_star)[0])
     return OptimumResult(
         feasible=True,
-        b_star=float(b_star),
+        b_star=b_star,
         fov_star=fov_star,
-        rate_star=float(rate_star),
+        rate_star=rate_star,
         active_constraints=_active_constraints(cfg, cs, b_star, fov_star),
         boundary_trace=trace,
     )

@@ -270,13 +270,15 @@ def grid_sweep(cfg: AdrConfig, ctx: LinkContext, quantity: str, axes: tuple,
 def design_space(cfg: AdrConfig, ctx: LinkContext, r_min: float, fov_min: float,
                  axes: tuple, config_name: str = "",
                  timestamp: Optional[str] = None) -> RegionMask:
-    """Cells meeting both a minimum rate and a minimum FOV."""
+    """Cells meeting both a minimum rate and a minimum FOV.
+
+    Cells below fov_min or above the FOV cap are labelled infeasible_fov.
+    """
     rates, valid = _grid_arrays(cfg, ctx, "rate", axes)
-    fov_ok = np.broadcast_to(_fov_row(axes) >= fov_min / CAP_SLACK, rates.shape)
-    ok = (rates >= r_min) & valid & fov_ok
+    fov_ok = np.broadcast_to((_fov_row(axes) >= fov_min / CAP_SLACK) & valid, rates.shape)
     labels = np.full(rates.shape, MASK_LABELS.index("feasible"), dtype=np.int8)
     labels[~fov_ok] = MASK_LABELS.index("infeasible_fov")
-    labels[ok] = MASK_LABELS.index("design_space")
+    labels[(rates >= r_min) & fov_ok] = MASK_LABELS.index("design_space")
     meta = _metadata("design_space", cfg, ctx, "design_space",
                      {"r_min": r_min, "fov_min": fov_min}, config_name, timestamp)
     return RegionMask(axes=tuple(axes), labels=labels, metadata=meta)

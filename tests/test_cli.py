@@ -58,6 +58,23 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text("[link]\nber = 3.8e-3\n")
     with pytest.raises(ConfigError, match="ber"):
         load_config(str(path))
+    path.write_text("[adr]\ndepletion_um = 2\n")
+    with pytest.raises(ConfigError, match="depletion_um"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("section,key,field", [
+    ("link", "distance_m", "distance"),
+    ("link", "snr_gap", "snr_gap"),
+    ("adr", "k_pd_s_per_m", "k_pd"),
+    ("adr", "n_cpc", "n_cpc"),
+    ("noise", "temperature_k", "temperature"),
+    ("beam", "w0_um", "waist_radius"),
+])
+def test_nan_config_values_rejected(section, key, field):
+    # NaN passes every bare `<= 0` / `< 1` check; the rate would come out NaN
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        load_config(None, {(section, key): math.nan})
 
 
 def test_custom_adr_section(tmp_path):

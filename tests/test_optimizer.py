@@ -388,9 +388,45 @@ def test_gradients_domain_errors(ctx10):
         analytic_gradients(cfg, full_ctx, 2e9, FOV30)
 
 
+def test_zoom_search_evaluates_few_grids(ctx16, monkeypatch):
+    # the search zooms one vectorised grid; it must not fall back to
+    # per-bandwidth boundary evaluations
+    from adrdesign import optimizer
+    sizes = []
+    original = optimizer._unified_grid
+
+    def counting(cfg, cs, b):
+        sizes.append(np.size(b))
+        return original(cfg, cs, b)
+
+    monkeypatch.setattr(optimizer, "_unified_grid", counting)
+    cs = ConstraintSet(fov_min=FOV30, l_max=0.005, a_max=0.5e-4)
+    res = maximize_rate_constrained(preset("config1", truncation=TRUNC), ctx16, cs)
+    assert res.feasible
+    assert 1 <= len(sizes) <= 4
+    assert res.rate_star >= res.boundary_trace[:, 2].max()
+
+
+def test_search_stops_at_float_resolution(ctx16):
+    # a tolerance below float resolution cannot be met; the zoom stops once
+    # a pass no longer narrows the bracket, at the same optimum
+    cs = ConstraintSet(fov_min=FOV30, l_max=0.005, a_max=0.5e-4)
+    cfg = preset("config1", truncation=TRUNC)
+    tight = maximize_rate_constrained(cfg, ctx16, cs, SolverOptions(b_rel_tol=1e-300))
+    default = maximize_rate_constrained(cfg, ctx16, cs)
+    assert tight.rate_star >= default.rate_star
+    assert tight.b_star == pytest.approx(default.b_star, rel=1e-6)
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(b_min=2e9, b_max=1e9)
+    # bad values are rejected by field name, not deep inside the search
+    for field, value in (("b_min", math.nan), ("b_max", math.inf), ("b_max", math.nan),
+                         ("b_rel_tol", 0.0), ("b_rel_tol", -1.0), ("b_rel_tol", math.nan),
+                         ("b_rel_tol", math.inf)):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})
     with pytest.raises(ValueError):
         ConstraintSet(fov_min=0.0)
     with pytest.raises(ValueError):

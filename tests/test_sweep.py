@@ -160,6 +160,14 @@ def test_design_space_zero_rate_floor(ctx10):
     assert ((names == "design_space") == fov_ok[None, :].repeat(25, axis=0)).all()
 
 
+def test_design_space_marks_cells_above_the_cap(ctx10):
+    # a tier-0 receiver is capped at 30 deg; no receiver exists above it
+    cfg = replace(preset("config1"), n_tier=0)
+    axes = (Axis("b", "Hz", 1e9, 2e9, 2, "log"), Axis("fov", "deg", 20.0, 80.0, 4))
+    names = design_space(cfg, ctx10, 1e9, math.radians(10), axes).label_names()
+    assert names.tolist() == [["design_space"] + ["infeasible_fov"] * 3] * 2
+
+
 def test_feasible_region_matches_direct_inequalities(ctx10):
     axes = small_axes(40, 40)
     cfg = preset("config2")
