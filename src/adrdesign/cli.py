@@ -138,6 +138,14 @@ def _print_optimum(label: str, res) -> None:
           f"active: {', '.join(sorted(res.active_constraints)) or 'none'}")
 
 
+def _trace_csv(trace) -> str:
+    """Boundary trace rows (B [Hz], FOV [rad], rate [b/s]) as CSV, FOV in degrees.
+
+    Formats from tolist(), so each field is the repr of a Python float."""
+    rows = (f"{b!r},{math.degrees(fov)!r},{rate!r}" for b, fov, rate in trace.tolist())
+    return "\n".join(["b_hz,fov_deg,rate_bps", *rows]) + "\n"
+
+
 def _cmd_optimize(args) -> int:
     run, outdir = _load(args)
     cfg = run.adr_config()
@@ -149,10 +157,7 @@ def _cmd_optimize(args) -> int:
         "fov_min_deg": math.degrees(cs.fov_min), "l_max_m": cs.l_max, "a_max_m2": cs.a_max,
     }, "config": run.effective_dict()}
     path = _write(outdir, "optimize_summary.json", _json_dump(doc))
-    trace_lines = ["b_hz,fov_deg,rate_bps"]
-    for b, fov, rate in res.boundary_trace:
-        trace_lines.append(f"{float(b)!r},{math.degrees(fov)!r},{float(rate)!r}")
-    trace_path = _write(outdir, "optimize_boundary_trace.csv", "\n".join(trace_lines) + "\n")
+    trace_path = _write(outdir, "optimize_boundary_trace.csv", _trace_csv(res.boundary_trace))
     print(f"summary written to {path}")
     print(f"boundary trace written to {trace_path}")
     return 0

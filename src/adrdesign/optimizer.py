@@ -7,8 +7,9 @@ to a 1-D search along B: for every bandwidth the binding FOV is
 
     f_fov(B) = max(fov_min, f_height^-1(B), f_area^-1(B)),
 
-where the inverse boundary functions are obtained by vectorised bisection
-(each boundary is strictly monotone). The search evaluates f_fov and the
+where the inverse boundary functions are bracketed on a tabulated FOV grid
+and refined by a few secant steps (each boundary is strictly monotone), all
+vectorised over the bandwidths. The search evaluates f_fov and the
 rate on a log-spaced bandwidth grid, then zooms the grid onto the two
 neighbours of the best cell until that bracket is narrower than the
 tolerance. The analytic partial derivatives are provided for verification,
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -83,8 +85,9 @@ class SolverOptions:
             require_positive(name, getattr(self, name))
         if not self.b_min < self.b_max:
             raise ValueError("need b_min < b_max")
-        if self.grid_points < 8:
-            raise ValueError("grid_points must be >= 8")
+        if (isinstance(self.grid_points, bool) or not isinstance(self.grid_points, Integral)
+                or self.grid_points < 8):
+            raise ValueError(f"grid_points must be an integer >= 8, got {self.grid_points!r}")
 
 
 @dataclass(frozen=True)
@@ -132,39 +135,56 @@ def dimension_boundary(cfg: AdrConfig, which: str, fov: float, bound: float) -> 
     return float(_boundary(cfg, which, theta, bound))
 
 
-def _invert_boundary_grid(cfg: AdrConfig, which: str, b, bound: float,
-                          iters: int = 110) -> np.ndarray:
-    """Vectorised bisection inverse of a boundary function.
+# Geometric FOV table that brackets each inverse, fine enough that log-log
+# interpolation starts within ~1e-4 of the root; the secant steps after it
+# reach float precision.
+_FOV_FLOOR = 1e-9
+_TABLE_POINTS = 512
+_SECANT_STEPS = 4
+
+
+def _invert_boundary_grid(cfg: AdrConfig, which: str, b, bound: float) -> np.ndarray:
+    """Vectorised inverse of a boundary function, exact to float precision.
 
     Returns the FOV on the boundary for each bandwidth, +inf where the
-    bandwidth lies below the boundary image (bound violated at every FOV).
-    Each step compares coeff(theta) with its boundary value bound * B^power,
-    which needs no root.
+    bandwidth lies below the boundary image (bound violated at every FOV),
+    and the 1e-9 FOV floor where the bound holds even there. The root of
+    coeff(theta) = bound * B^power is bracketed on a geometric FOV table,
+    started by log-log interpolation inside the bracket and refined by
+    secant steps on log coeff against log FOV, clipped to the bracket.
     """
     coeff, power = _DIMENSIONS[which]
-    cap = fov_cap(cfg.n_tier)
     divisor = 2 * cfg.n_tier + 1
     b = np.atleast_1d(np.asarray(b, dtype=float))
     target = bound * b**power
-    below_image = coeff(cfg, cap / divisor) > target
-    lo = np.full(b.shape, 1e-9)
-    hi = np.full(b.shape, cap)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        too_small = coeff(cfg, mid / divisor) > target  # dimension decreasing in FOV
-        lo = np.where(too_small, mid, lo)
-        hi = np.where(too_small, hi, mid)
-    out = 0.5 * (lo + hi)
-    return np.where(below_image, np.inf, out)
+    fov_tab = np.geomspace(_FOV_FLOOR, fov_cap(cfg.n_tier), _TABLE_POINTS)
+    coeff_tab = coeff(cfg, fov_tab / divisor)
+    below_image = coeff_tab[-1] > target
+    x_tab, g_tab = np.log(fov_tab), np.log(coeff_tab)  # g_tab strictly decreasing
+    log_target = np.log(target)
+    j = np.clip(np.searchsorted(-g_tab, -log_target), 1, _TABLE_POINTS - 1)
+    x_lo, x_hi = x_tab[j - 1], x_tab[j]
+    # from the bracket's lower end along its chord, the first step is the
+    # log-log interpolation; each later one is a secant step
+    x, r = x_lo, g_tab[j - 1] - log_target
+    slope = (g_tab[j] - g_tab[j - 1]) / (x_hi - x_lo)
+    for _ in range(1 + _SECANT_STEPS):
+        x_new = np.clip(x - r / slope, x_lo, x_hi)
+        r_new = np.log(coeff(cfg, np.exp(x_new) / divisor) / target)
+        dx, dr = x_new - x, r_new - r
+        descending = dx * dr < 0  # a usable secant: the residual falls as x rises
+        slope = np.where(descending, dr / np.where(descending, dx, 1.0), slope)
+        x, r = x_new, r_new
+    return np.where(below_image, np.inf, np.exp(x))
 
 
 def invert_dimension_boundary(cfg: AdrConfig, which: str, bandwidth: float,
                               bound: float) -> float:
     """Unique FOV with dimension_boundary(cfg, which, FOV, bound) == bandwidth.
 
-    Bisection on the strictly decreasing boundary; the residual
-    |f(FOV) - B| / B is driven below 1e-10. Raises BoundaryOutOfRange when
-    the bandwidth is below the boundary image.
+    Bracketed secant inverse of the strictly decreasing boundary; the
+    residual |f(FOV) - B| / B must come out below 1e-10. Raises
+    BoundaryOutOfRange when the bandwidth is below the boundary image.
     """
     if which not in _DIMENSIONS:
         raise ValueError(f"which must be 'height' or 'area', got {which!r}")
@@ -178,7 +198,7 @@ def invert_dimension_boundary(cfg: AdrConfig, which: str, bandwidth: float,
         )
     residual = abs(dimension_boundary(cfg, which, fov, bound) - bandwidth) / bandwidth
     if residual > 1e-10:
-        raise RuntimeError(f"bisection failed to converge, residual {residual:.3e}")
+        raise RuntimeError(f"boundary inverse failed to converge, residual {residual:.3e}")
     return fov
 
 

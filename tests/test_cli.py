@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from adrdesign.cli import main
+from adrdesign.cli import _trace_csv, main
 from adrdesign.config import ConfigError, load_config, parse_quantity
 
 
@@ -166,6 +167,22 @@ def test_optimize_command_unconstrained_config3(tmp_path, capsys):
     trace = (tmp_path / "optimize_boundary_trace.csv").read_text().splitlines()
     assert trace[0] == "b_hz,fov_deg,rate_bps"
     assert len(trace) > 100
+
+
+def test_boundary_trace_csv_matches_per_row_formatting():
+    # the writer formats from tolist(); its bytes must equal formatting each
+    # numpy row with float() and math.degrees, as the trace was first written
+    rng = np.random.default_rng(7)
+    trace = np.column_stack([
+        np.geomspace(0.1e9, 20e9, 300),
+        rng.uniform(1e-9, math.pi / 2, 300),
+        rng.uniform(0.0, 3e10, 300),
+    ])
+    for rows in (trace, trace[:0]):
+        lines = ["b_hz,fov_deg,rate_bps"]
+        for b, fov, rate in rows:
+            lines.append(f"{float(b)!r},{math.degrees(fov)!r},{float(rate)!r}")
+        assert _trace_csv(rows) == "\n".join(lines) + "\n"
 
 
 def test_optimize_command_compact_headline(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +15,15 @@ from adrdesign import (
     dimension_boundary,
     geometry,
     invert_dimension_boundary,
+    load_config,
     maximize_rate_constrained,
+    optimizer,
     preset,
     unified_boundary,
 )
-from adrdesign.adr import fov_cap
+from adrdesign.adr import AdrConfig, fov_cap
 from adrdesign.link import _rate_raw
-from adrdesign.optimizer import _unified_grid
+from adrdesign.optimizer import _invert_boundary_grid, _unified_grid
 
 FOV30 = math.radians(30.0)
 TRUNC = TruncationSpec(0.6, 0.9)
@@ -117,6 +121,84 @@ def test_boundaries_reject_non_finite_input():
 def test_invalid_boundary_name():
     with pytest.raises(ValueError):
         dimension_boundary(preset("config1"), "width", FOV30, 0.01)
+
+
+# ------------------------------------------------- inverse against an oracle
+
+def _bisection_inverse(cfg, which, b, bound, iters=110):
+    """The former 110-step vectorised bisection inverse, kept as an oracle."""
+    coeff, power = optimizer._DIMENSIONS[which]
+    cap = fov_cap(cfg.n_tier)
+    divisor = 2 * cfg.n_tier + 1
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    target = bound * b**power
+    below_image = coeff(cfg, cap / divisor) > target
+    lo = np.full(b.shape, 1e-9)
+    hi = np.full(b.shape, cap)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        too_small = coeff(cfg, mid / divisor) > target  # dimension decreasing in FOV
+        lo = np.where(too_small, mid, lo)
+        hi = np.where(too_small, hi, mid)
+    out = 0.5 * (lo + hi)
+    return np.where(below_image, np.inf, out)
+
+
+ALL_PRESETS = ("config1", "config2", "config3", "config4", "config5", "config6")
+
+
+def _random_any_cfg(rng):
+    """Any preset, tier 0 included, with or without truncated CPCs."""
+    cfg = preset(str(rng.choice(ALL_PRESETS)), truncation=TRUNC if rng.random() < 0.5 else None)
+    return replace(cfg, n_tier=0) if rng.random() < 0.2 else cfg
+
+
+def test_inverse_matches_bisection_oracle(rng):
+    # targets bound * B^power spread from below the boundary image (+inf) to
+    # above the coefficient at the 1e-9 FOV floor
+    reached_inf = reached_floor = 0
+    for _ in range(60):
+        cfg = _random_any_cfg(rng)
+        which = str(rng.choice(["height", "area"]))
+        coeff, power = optimizer._DIMENSIONS[which]
+        divisor = 2 * cfg.n_tier + 1
+        top = float(coeff(cfg, 1e-9 / divisor))
+        bottom = float(coeff(cfg, fov_cap(cfg.n_tier) / divisor))
+        target = np.exp(rng.uniform(math.log(bottom) - 3, math.log(top) + 3, 500))
+        bound = float(np.median(target / np.geomspace(0.1e9, 20e9, 500) ** power))
+        b = (target / bound) ** (1.0 / power)
+        new = _invert_boundary_grid(cfg, which, b, bound)
+        old = _bisection_inverse(cfg, which, b, bound)
+        assert np.array_equal(np.isinf(new), np.isinf(old))
+        finite = np.isfinite(old)
+        assert np.all(np.abs(new[finite] - old[finite]) <= 1e-12 * old[finite])
+        reached_inf += int((~finite).sum())
+        reached_floor += int((old[finite] <= 1e-9 * (1 + 1e-12)).sum())
+    assert reached_inf > 0 and reached_floor > 0
+
+
+def test_inverse_warning_free_at_domain_edges():
+    # bounds decades too small (every bandwidth below the image) and decades
+    # too large (the bound holds at the FOV floor) must raise no float warning
+    b = np.geomspace(0.1e9, 20e9, 200)
+    for n_tier in range(4):
+        for trunc in (None, TRUNC):
+            cfg = AdrConfig(n_tier=n_tier, n_pd=4, truncation=trunc)
+            for which, bound in (("height", 0.01), ("area", 2e-4)):
+                power = optimizer._DIMENSIONS[which][1]
+                for scale in (1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e30):
+                    scaled = bound * scale**power
+                    with warnings.catch_warnings(), np.errstate(all="raise"):
+                        warnings.simplefilter("error")
+                        new = _invert_boundary_grid(cfg, which, b, scaled)
+                    old = _bisection_inverse(cfg, which, b, scaled)
+                    assert np.array_equal(np.isinf(new), np.isinf(old))
+                    finite = np.isfinite(old)
+                    assert np.all(np.abs(new[finite] - old[finite]) <= 1e-12 * old[finite])
+                    if scale <= 1e-6:
+                        assert np.all(np.isinf(new))
+                    if scale >= 1e30:
+                        assert np.allclose(new, 1e-9, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------- unified boundary
@@ -329,6 +411,40 @@ def test_truncation_effect_on_optima(ctx16):
         assert res_t.rate_star >= res_o.rate_star
 
 
+def test_solver_matches_bisection_oracle(rng, monkeypatch):
+    # the old and new boundary inverses must give the same solve: feasibility,
+    # active sets and diagnostics identical, R* to 1e-9 relative
+    contexts = {
+        (pt, mode): load_config(None, overrides={
+            ("beam", "pt_mw"): pt, ("noise", "mode"): mode,
+            ("noise", "rin_per_hz"): 1e-14 if mode == "full" else None,
+        }).context()
+        for pt in (10.0, 16.0) for mode in ("thermal_only", "full")
+    }
+    feasible = 0
+    for _ in range(40):
+        cfg = _random_any_cfg(rng)
+        ctx = contexts[(float(rng.choice([10.0, 16.0])),
+                        str(rng.choice(["thermal_only", "full"])))]
+        cs = ConstraintSet(
+            fov_min=rng.uniform(math.radians(5), fov_cap(cfg.n_tier)),
+            l_max=10 ** rng.uniform(-3.5, -1.4) if rng.random() < 0.8 else None,
+            a_max=10 ** rng.uniform(-6.5, -3.1) if rng.random() < 0.8 else None,
+        )
+        opts = SolverOptions(grid_points=int(rng.choice([400, 2000])))
+        new = maximize_rate_constrained(cfg, ctx, cs, opts)
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_invert_boundary_grid", _bisection_inverse)
+            old = maximize_rate_constrained(cfg, ctx, cs, opts)
+        assert new.feasible == old.feasible
+        assert new.active_constraints == old.active_constraints
+        assert new.diagnostic == old.diagnostic
+        if old.feasible:
+            feasible += 1
+            assert new.rate_star == pytest.approx(old.rate_star, rel=1e-9)
+    assert 0 < feasible < 40
+
+
 # ---------------------------------------------------------------- gradients
 
 def _fd(fn, x, h):
@@ -424,7 +540,8 @@ def test_solver_options_validation():
     # bad values are rejected by field name, not deep inside the search
     for field, value in (("b_min", math.nan), ("b_max", math.inf), ("b_max", math.nan),
                          ("b_rel_tol", 0.0), ("b_rel_tol", -1.0), ("b_rel_tol", math.nan),
-                         ("b_rel_tol", math.inf)):
+                         ("b_rel_tol", math.inf), ("grid_points", math.nan),
+                         ("grid_points", 8.5), ("grid_points", True), ("grid_points", 7)):
         with pytest.raises(ValueError, match=field):
             SolverOptions(**{field: value})
     with pytest.raises(ValueError):
