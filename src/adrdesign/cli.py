@@ -14,6 +14,7 @@ working directory; identical invocations produce identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -139,11 +140,10 @@ def _print_optimum(label: str, res) -> None:
 
 
 def _trace_csv(trace) -> str:
-    """Boundary trace rows (B [Hz], FOV [rad], rate [b/s]) as CSV, FOV in degrees.
-
-    Formats from tolist(), so each field is the repr of a Python float."""
-    rows = (f"{b!r},{math.degrees(fov)!r},{rate!r}" for b, fov, rate in trace.tolist())
-    return "\n".join(["b_hz,fov_deg,rate_bps", *rows]) + "\n"
+    """Boundary trace rows (B [Hz], FOV [rad], rate [b/s]) as CSV, FOV in degrees."""
+    b, fov, rate = trace.T
+    return sweep_mod._csv("b_hz,fov_deg,rate_bps", *(
+        sweep_mod._reprs(column.tolist()) for column in (b, np.degrees(fov), rate)))
 
 
 def _cmd_optimize(args) -> int:
@@ -244,7 +244,9 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; parse_args returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="adrdesign",
         description="CPC-based angle-diversity receiver design and rate optimisation",

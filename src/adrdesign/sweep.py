@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -60,12 +61,17 @@ class Axis:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ValueError(f"axis {self.name!r} needs count >= 2, got {self.count}")
+        if isinstance(self.count, bool) or not isinstance(self.count, Integral) or self.count < 2:
+            raise ValueError(f"axis {self.name!r} count must be an integer >= 2, "
+                             f"got {self.count!r}")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"axis spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
-            raise ValueError("log axes need positive endpoints")
+        for end in ("start", "stop"):
+            label, value = f"axis {self.name!r} {end}", getattr(self, end)
+            if self.spacing == "log":
+                adr_mod.require_positive(label, value)
+            elif not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {value}")
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":
@@ -90,20 +96,46 @@ def _json_default(x):
 
 
 def _cells_json(values: np.ndarray) -> list:
-    flat = []
-    for v in values.ravel().tolist():
-        flat.append(None if isinstance(v, float) and math.isnan(v) else v)
-    return flat
+    """The cells in row-major order as Python numbers, NaN as None (JSON null)."""
+    flat = values.ravel()
+    cells = flat.astype(object)
+    cells[np.isnan(flat)] = None
+    return cells.tolist()
+
+
+def _reprs(values: list) -> list:
+    """repr() of every number in a flat list, formatted in C.
+
+    repr of a list joins the reprs of its elements with ", ", which no float
+    repr (nan, inf, 1e+22, ...) contains.
+    """
+    return repr(values)[1:-1].split(", ") if values else []
+
+
+def _csv(header: str, *columns: list) -> str:
+    """CSV text: the header line, then line k joins field k of every column with ",".
+
+    Every column is a list of field strings of the same length.
+    """
+    return "\n".join([header, *map(",".join, zip(*columns)), ""])
 
 
 def _grid_csv(axes: tuple, column: str, cells: list) -> str:
-    """One CSV row per (axis0, axis1) cell; axis values are written as floats, like cells[i][j]."""
+    """One CSV row per (axis0, axis1) cell, row-major; cells holds the field strings.
+
+    Each axis value is formatted once, as the repr of a Python float.
+    """
     a0, a1 = axes
-    lines = [f"{a0.name}_{a0.unit},{a1.name}_{a1.unit},{column}"]
-    for x, row in zip(a0.values().tolist(), cells):
-        for y, cell in zip(a1.values().tolist(), row):
-            lines.append(f"{x!r},{y!r},{cell}")
-    return "\n".join(lines) + "\n"
+    xs = np.repeat(np.array(_reprs(a0.values().tolist()), dtype=object), a1.count).tolist()
+    ys = _reprs(a1.values().tolist()) * a0.count
+    return _csv(f"{a0.name}_{a0.unit},{a1.name}_{a1.unit},{column}", xs, ys, cells)
+
+
+def _check_shape(field: str, cells: np.ndarray, axes: tuple) -> None:
+    """The writers pair cell k with the k-th (axis0, axis1) point, so the shapes must agree."""
+    expected = (axes[0].count, axes[1].count)
+    if cells.shape != expected:
+        raise ValueError(f"{field} shape {cells.shape} != axes {expected}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +147,7 @@ class Grid2D:
     metadata: dict
 
     def __post_init__(self):
-        expected = (self.axes[0].count, self.axes[1].count)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != axes {expected}")
+        _check_shape("values", self.values, self.axes)
 
     def to_json(self) -> str:
         doc = {
@@ -128,8 +158,8 @@ class Grid2D:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
 
     def to_csv(self) -> str:
-        cells = [[repr(v) for v in row] for row in self.values.tolist()]
-        return _grid_csv(self.axes, self.metadata.get("quantity", "value"), cells)
+        return _grid_csv(self.axes, self.metadata.get("quantity", "value"),
+                         _reprs(self.values.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -140,6 +170,9 @@ class RegionMask:
     labels: np.ndarray  # integer indices into MASK_LABELS
     metadata: dict
     boundary: Optional[np.ndarray] = None  # (n, 2) sampled (b, fov_rad) polyline
+
+    def __post_init__(self):
+        _check_shape("labels", self.labels, self.axes)
 
     def label_names(self) -> np.ndarray:
         return np.asarray(MASK_LABELS, dtype=object)[self.labels]
@@ -152,11 +185,11 @@ class RegionMask:
             "metadata": self.metadata,
         }
         if self.boundary is not None:
-            doc["boundary"] = [[float(b), float(f)] for b, f in self.boundary]
+            doc["boundary"] = np.asarray(self.boundary, dtype=float).tolist()
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
 
     def to_csv(self) -> str:
-        return _grid_csv(self.axes, "label", self.label_names().tolist())
+        return _grid_csv(self.axes, "label", self.label_names().ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -174,12 +207,11 @@ class FovSweepTable:
         raise KeyError((config, variant, fov_min_deg))
 
     def to_csv(self) -> str:
-        lines = ["config,variant,fov_min_deg,rate_bps"]
-        for r in self.rows:
-            lines.append(
-                f"{r['config']},{r['variant']},{r['fov_min_deg']!r},{r['rate_bps']!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv("config,variant,fov_min_deg,rate_bps",
+                    [str(r["config"]) for r in self.rows],
+                    [str(r["variant"]) for r in self.rows],
+                    _reprs([r["fov_min_deg"] for r in self.rows]),
+                    _reprs([r["rate_bps"] for r in self.rows]))
 
     def to_json(self) -> str:
         return json.dumps({"rows": list(self.rows), "metadata": self.metadata},

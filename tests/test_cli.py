@@ -185,6 +185,40 @@ def test_boundary_trace_csv_matches_per_row_formatting():
         assert _trace_csv(rows) == "\n".join(lines) + "\n"
 
 
+def _oracle_trace_csv(trace) -> str:
+    """The per-row trace writer that the column writer replaced, copied unchanged."""
+    rows = (f"{b!r},{math.degrees(fov)!r},{rate!r}" for b, fov, rate in trace.tolist())
+    return "\n".join(["b_hz,fov_deg,rate_bps", *rows]) + "\n"
+
+
+def test_boundary_trace_csv_matches_per_row_oracle():
+    # the degrees column is np.degrees, which must round like math.degrees
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(0.0, 1.6, 100_000)
+    assert np.degrees(angles).tolist() == [math.degrees(a) for a in angles.tolist()]
+    trace = np.column_stack([
+        np.geomspace(5e-324, 1e22, 300),
+        np.concatenate([[0.0, -0.0, 1e-9, 1e-5, math.pi / 2], rng.uniform(0.0, 1.6, 295)]),
+        np.concatenate([[math.nan, math.inf, 0.0, 5e-324, 1e-5],
+                        rng.uniform(0.0, 3e10, 295)]),
+    ])
+    for rows in (trace, trace[:0], np.empty((0, 3))):
+        assert _trace_csv(rows) == _oracle_trace_csv(rows)
+    assert _trace_csv(trace[:0]) == "b_hz,fov_deg,rate_bps\n"
+
+
+def test_optimize_command_flags_do_not_leak_between_calls(tmp_path):
+    # main() reuses one parser; a flag given to one call must not reach the next
+    base = ["optimize", "--preset", "config1", "--fov-min", "30", "--l-max", "0.5cm"]
+    summaries = []
+    for k, extra in enumerate(([], ["--truncated"], [])):
+        assert main(base + extra + ["--out", str(tmp_path / str(k))]) == 0
+        summaries.append((tmp_path / str(k) / "optimize_summary.json").read_bytes())
+    assert summaries[2] == summaries[0]
+    assert summaries[1] != summaries[0]
+    assert json.loads(summaries[1])["config"]["adr"]["truncated"] is True
+
+
 def test_optimize_command_compact_headline(tmp_path):
     # strict 0.5 cm / 0.5 cm^2 box, truncated CPCs, VCSEL at the 16 mW cap
     rc = main(["optimize", "--preset", "config1", "--truncated", "--fov-min", "30",

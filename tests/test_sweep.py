@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,8 @@ from adrdesign import (
     rmax_surface,
     rmax_vs_fovmin,
 )
-from adrdesign.sweep import MASK_LABELS
+from adrdesign import sweep
+from adrdesign.sweep import MASK_LABELS, FovSweepTable, Grid2D, RegionMask
 
 FOV30 = math.radians(30.0)
 
@@ -40,6 +41,26 @@ def test_axis_values():
         Axis("b", "Hz", 1e8, 1e9, 1)
 
 
+@pytest.mark.parametrize("kwargs,field", [
+    (dict(start=math.nan), "start"),
+    (dict(stop=math.inf), "stop"),
+    (dict(start=-math.inf), "start"),
+    (dict(stop=math.nan, spacing="log"), "stop"),
+    (dict(start=math.inf, spacing="log"), "start"),
+    (dict(count=2.5), "count must be an integer"),
+    (dict(count=3.0), "count must be an integer"),
+    (dict(count=True), "count must be an integer"),
+])
+def test_axis_rejects_non_finite_ends_and_non_integer_counts(kwargs, field):
+    # each was accepted, or rejected only because True < 2, and values()
+    # then returned NaN, inf or raised TypeError
+    args = dict(name="fov", unit="deg", start=1.0, stop=2.0, count=3, spacing="linear")
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=f"axis 'fov' {field}"):
+        Axis(**args)
+    assert Axis("fov", "deg", 1.0, 2.0, np.int64(3)).values().tolist() == [1.0, 1.5, 2.0]
+
+
 def test_grid_sweep_shapes_and_validity(ctx10):
     axes = small_axes()
     grid = grid_sweep(preset("config6"), ctx10, "rate", axes)
@@ -47,7 +68,7 @@ def test_grid_sweep_shapes_and_validity(ctx10):
     # three tiers accept the whole 90 deg span: no invalid cells
     assert np.isfinite(grid.values).all()
 
-    from dataclasses import replace
+    from dataclasses import asdict, replace
     cfg0 = replace(preset("config1"), n_tier=0)
     grid0 = grid_sweep(cfg0, ctx10, "rate", axes)
     fov_deg = axes[1].values()
@@ -259,3 +280,118 @@ def test_rmax_vs_fovmin_table_structure(ctx16):
 def test_mask_labels_inventory():
     assert MASK_LABELS == ("feasible", "infeasible_fov", "infeasible_height",
                           "infeasible_area", "design_space")
+
+
+# ------------------------------------------------------------ writer oracles
+# The per-cell writers that the column writer replaced, copied unchanged. The
+# artifacts must stay byte-identical to theirs.
+
+def _oracle_cells_json(values: np.ndarray) -> list:
+    flat = []
+    for v in values.ravel().tolist():
+        flat.append(None if isinstance(v, float) and math.isnan(v) else v)
+    return flat
+
+
+def _oracle_grid_csv(axes: tuple, column: str, cells: list) -> str:
+    """One CSV row per (axis0, axis1) cell; axis values are written as floats, like cells[i][j]."""
+    a0, a1 = axes
+    lines = [f"{a0.name}_{a0.unit},{a1.name}_{a1.unit},{column}"]
+    for x, row in zip(a0.values().tolist(), cells):
+        for y, cell in zip(a1.values().tolist(), row):
+            lines.append(f"{x!r},{y!r},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_grid_to_csv(grid):
+    cells = [[repr(v) for v in row] for row in grid.values.tolist()]
+    return _oracle_grid_csv(grid.axes, grid.metadata.get("quantity", "value"), cells)
+
+
+def _oracle_mask_to_csv(mask):
+    return _oracle_grid_csv(mask.axes, "label", mask.label_names().tolist())
+
+
+def _oracle_table_to_csv(table):
+    lines = ["config,variant,fov_min_deg,rate_bps"]
+    for r in table.rows:
+        lines.append(
+            f"{r['config']},{r['variant']},{r['fov_min_deg']!r},{r['rate_bps']!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_dumps(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=sweep._json_default)
+
+
+def _oracle_grid_to_json(grid):
+    return _oracle_dumps({"axes": [asdict(a) for a in grid.axes],
+                          "values": _oracle_cells_json(grid.values),
+                          "metadata": grid.metadata})
+
+
+def _oracle_mask_to_json(mask):
+    doc = {"axes": [asdict(a) for a in mask.axes], "labels": mask.labels.ravel().tolist(),
+           "legend": list(MASK_LABELS), "metadata": mask.metadata}
+    if mask.boundary is not None:
+        doc["boundary"] = [[float(b), float(f)] for b, f in mask.boundary]
+    return _oracle_dumps(doc)
+
+
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22, -1e22, 1e-5, 1e16,
+           123456789.0, 0.1)
+
+
+def _special_grid(rng, metadata):
+    axes = (Axis("x", "u", -1e-5, 1e22, 7, "linear"), Axis("b", "Hz", 5e-324, 1e16, 6, "log"))
+    values = rng.standard_normal(42) * 10.0 ** rng.integers(-30, 30, 42)
+    values[:len(SPECIAL)] = SPECIAL
+    return Grid2D(axes=axes, values=rng.permutation(values).reshape(7, 6), metadata=metadata)
+
+
+def test_grid_writers_match_per_cell_oracle(ctx10, rng):
+    grids = [_special_grid(rng, {"quantity": "rate"}), _special_grid(rng, {})]
+    cfg = replace(preset("config1"), n_tier=0)  # NaN above the 30 deg cap
+    grids += [grid_sweep(cfg, ctx10, q, small_axes(13, 11)) for q in ("rate", "height")]
+    assert any(np.isnan(g.values).any() for g in grids[2:])
+    for grid in grids:
+        assert grid.to_csv() == _oracle_grid_to_csv(grid)
+        assert grid.to_json() == _oracle_grid_to_json(grid)
+        assert sweep._cells_json(grid.values) == _oracle_cells_json(grid.values)
+
+
+def test_mask_writers_match_per_cell_oracle(ctx10, rng):
+    axes = (Axis("b", "Hz", 1e8, 2e10, 6, "log"), Axis("fov", "deg", -0.0, 1e-5, 5))
+    labels = rng.permutation(np.arange(30) % len(MASK_LABELS)).astype(np.int8).reshape(6, 5)
+    boundary = np.column_stack([axes[0].values(), np.linspace(0.1, 1e-5, 6)])
+    masks = [RegionMask(axes, labels, {"operation": "x"}, boundary=b)
+             for b in (None, boundary, np.empty((0, 2)))]
+    masks.append(feasible_region(preset("config2"), ctx10,
+                                 ConstraintSet(FOV30, l_max=0.02, a_max=5e-4), small_axes(9, 8)))
+    masks.append(design_space(preset("config3"), ctx10, 10e9, FOV30, small_axes(9, 8)))
+    assert set(masks[0].label_names().ravel()) == set(MASK_LABELS)
+    for mask in masks:
+        assert mask.to_csv() == _oracle_mask_to_csv(mask)
+        assert mask.to_json() == _oracle_mask_to_json(mask)
+    assert '"boundary":[]' in masks[2].to_json()
+
+
+def test_grid_and_mask_reject_cells_that_do_not_match_the_axes():
+    # the writers pair cells with axis points by position; a 2x2 mask on
+    # 3x3 axes used to write 4 rows under the wrong (b, fov) points
+    axes = (Axis("b", "Hz", 1e9, 2e9, 3, "log"), Axis("fov", "deg", 1.0, 2.0, 3))
+    with pytest.raises(ValueError, match=r"labels shape \(2, 2\) != axes \(3, 3\)"):
+        RegionMask(axes, np.zeros((2, 2), dtype=np.int8), {})
+    with pytest.raises(ValueError, match=r"values shape \(9,\) != axes \(3, 3\)"):
+        Grid2D(axes, np.zeros(9), {})
+
+
+def test_table_csv_matches_per_row_oracle():
+    rows = tuple({"config": c, "variant": v, "fov_min_deg": f, "rate_bps": r}
+                 for c, v, f, r in (("config1", "original", 30.0, 1.1386e10),
+                                    ("config1", "truncated", 45.0, math.nan),
+                                    ("config2", "original", 1e-5, math.inf),
+                                    ("config2", "truncated", 5e-324, -0.0)))
+    for table in (FovSweepTable(rows=rows, metadata={}), FovSweepTable(rows=(), metadata={})):
+        assert table.to_csv() == _oracle_table_to_csv(table)
