@@ -1,19 +1,15 @@
 """Rate maximisation over (B, FOV) under FOV and dimension constraints.
 
-The rate decreases monotonically with FOV, and both receiver dimensions
-decrease monotonically with B and FOV. The optimum therefore always sits on
-the lower boundary of the feasible region, which collapses the 2-D problem
-to a 1-D search along B: for every bandwidth the binding FOV is
-
-    f_fov(B) = max(fov_min, f_height^-1(B), f_area^-1(B)),
-
-where the inverse boundary functions are bracketed on a tabulated FOV grid
-and refined by a few secant steps (each boundary is strictly monotone), all
-vectorised over the bandwidths. The search evaluates f_fov and the
-rate on a log-spaced bandwidth grid, then zooms the grid onto the two
-neighbours of the best cell until that bracket is narrower than the
-tolerance. The analytic partial derivatives are provided for verification,
-not for the search.
+The rate falls with FOV and both receiver dimensions fall with B and FOV, so
+the optimum sits on the lower edge of the feasible region. Both dimension
+boundaries are explicit in FOV, B_h = h(theta) / l_max and
+B_a = sqrt(a(theta) / a_max), so the edge is the segment FOV = fov_min and
+the curve B = B_lo(FOV) = max(B_h, B_a)(FOV). The search zooms a grid along
+each piece, batched over many constraint sets, without inverting a
+boundary. The inverse f_fov(B) = max(fov_min, B_h^-1(B), B_a^-1(B)),
+bracketed on a tabulated FOV grid and refined by secant steps, serves the
+boundary trace, feasible-region masks and callers. The analytic partial
+derivatives are provided for verification, not for the search.
 """
 
 from __future__ import annotations
@@ -261,46 +257,92 @@ def _infeasible_diagnostic(cfg: AdrConfig, cs: ConstraintSet, opts: SolverOption
     return "; ".join(parts) or "no feasible bandwidth in the search range"
 
 
+def _solve(cfg: AdrConfig, ctx: LinkContext, fov_min, l_max, a_max,
+           opts: SolverOptions) -> tuple:
+    """(rate, B, FOV) at the optimum of each of K constraint sets; NaN where infeasible.
+
+    l_max and a_max hold K caps each, or are None for no cap. Each set zooms
+    the segment FOV = fov_min over B in [max(b_min, B_lo(fov_min)), b_max]
+    and the curve B = B_lo(FOV) over FOV in [fov_min, cap], where B_lo must
+    lie in [b_min, b_max], with one bracket per piece, and keeps the better.
+    A bracket stops once it spans less than b_rel_tol in B, stops narrowing
+    or holds no feasible point; one across a corner of the curve (where the
+    binding cap changes or B_lo leaves the range) goes on to float
+    resolution, since there the rate error is first order in its width.
+    """
+    fov_min = np.atleast_1d(np.asarray(fov_min, dtype=float))
+    if fov_min.size:  # ConstraintSet checks each field on its own: its extremes check all sets
+        for extreme in (np.min, np.max):
+            ConstraintSet(*(None if v is None else float(extreme(v))
+                            for v in (fov_min, l_max, a_max)))
+    k, n = fov_min.size, opts.grid_points
+    bounds = [(which, np.broadcast_to(np.asarray(bound, dtype=float), (k,))[:, None])
+              for which, bound in (("height", l_max), ("area", a_max)) if bound is not None]
+
+    def b_lo(fov, owner):
+        """max(B_h, B_a) at each row of FOVs (0 without caps), and which cap binds;
+        inf, far above b_max, where a tiny FOV overflows the coefficients."""
+        with np.errstate(over="ignore"):
+            each = np.stack([_boundary(cfg, which, fov / (2 * cfg.n_tier + 1), bound[owner])
+                             for which, bound in bounds] or [np.zeros(fov.shape)])
+        return each.max(axis=0), each.argmax(axis=0)
+
+    # rows 0..k-1 are the segments, rows k..2k-1 the curves of the same sets
+    seg_lo = np.maximum(opts.b_min, b_lo(fov_min[:, None], np.arange(k))[0][:, 0])
+    lo = np.concatenate([seg_lo, fov_min])
+    hi = np.concatenate([np.full(k, opts.b_max), np.maximum(fov_min, fov_cap(cfg.n_tier))])
+    best = np.full((3, 2 * k), -np.inf)  # rate, B, FOV of each piece
+    valid = fov_valid(cfg.n_tier, fov_min)
+    rows = np.flatnonzero(np.concatenate([valid & (seg_lo <= opts.b_max), valid & bool(bounds)]))
+    t = np.linspace(0.0, 1.0, n)
+    while rows.size:
+        # geometric grids from lo to hi, clipped so that brackets only shrink
+        x = np.minimum(lo[rows, None] * (hi[rows, None] / lo[rows, None]) ** t, hi[rows, None])
+        x[:, -1] = hi[rows]
+        owner, curve = rows % k, rows >= k
+        b, fov = x.copy(), np.where(curve[:, None], x, fov_min[owner, None])
+        binding = np.zeros(x.shape, dtype=int)
+        b[curve], binding[curve] = b_lo(x[curve], owner[curve])
+        feasible = (b >= opts.b_min) & (b <= opts.b_max)
+        rates = np.full(x.shape, -np.inf)
+        rates[feasible] = _rate_raw(cfg, ctx, b[feasible], fov[feasible])
+        m, i = np.arange(rows.size), np.argmax(rates, axis=1)
+        better = rates[m, i] > best[0, rows]
+        best[:, rows[better]] = np.stack([rates[m, i], b[m, i], fov[m, i]])[:, better]
+        j, jj = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
+        smooth = feasible[m, j] & feasible[m, jj] & (binding[m, j] == binding[m, jj])
+        b_ends = np.where(smooth, np.stack([b[m, j], b[m, jj]]), 0.0)  # read only if smooth
+        done = (~feasible.any(axis=1)
+                | (smooth & (np.ptp(b_ends, axis=0) <= opts.b_rel_tol * b_ends.max(axis=0)))
+                | (x[m, jj] - x[m, j] >= hi[rows] - lo[rows]))
+        lo[rows], hi[rows] = x[m, j], x[m, jj]
+        rows = rows[~done]
+    out = np.where(best[0, k:] > best[0, :k], best[:, k:], best[:, :k])
+    return tuple(np.where(out[0] > -np.inf, out, np.nan))
+
+
 def maximize_rate_constrained(cfg: AdrConfig, ctx: LinkContext, cs: ConstraintSet,
                               options: Optional[SolverOptions] = None) -> OptimumResult:
-    """Maximise the rate along the unified constraint boundary.
-
-    Each pass evaluates f_fov and the rate at grid_points log-spaced
-    bandwidths, then narrows the range to the two neighbours of the best
-    one. The search stops once that bracket is within b_rel_tol of its
-    upper end, or when a pass no longer narrows it (float resolution). The
-    optimum is the best (rate, B, FOV) of all passes; the boundary trace
-    is the first pass, over the whole range. Which constraints are active
-    there is reported to 1e-6 relative equality.
+    """Maximise the rate along the lower edge of the feasible region: the
+    one-set case of the batched search above. The boundary trace is f_fov
+    and the rate at grid_points log-spaced bandwidths over the whole range,
+    through the inverse boundaries. Which constraints are active at the
+    optimum is reported to 1e-6 relative equality.
     """
     opts = options or SolverOptions()
-    lo, hi = opts.b_min, opts.b_max
-    rate_star, trace = -math.inf, None
-    while True:
-        b = np.geomspace(lo, hi, opts.grid_points)
-        fov = _unified_grid(cfg, cs, b)
-        feasible = np.isfinite(fov)
-        rates = np.full(b.shape, -np.inf)
-        rates[feasible] = _rate_raw(cfg, ctx, b[feasible], fov[feasible])
-        if trace is None:
-            trace = np.column_stack([b[feasible], fov[feasible], rates[feasible]])
-        i = int(np.argmax(rates))
-        if rates[i] > rate_star:
-            rate_star, b_star, fov_star = float(rates[i]), float(b[i]), float(fov[i])
-        width = hi - lo
-        lo, hi = b[max(i - 1, 0)], b[min(i + 1, len(b) - 1)]
-        if not feasible.any() or hi - lo <= opts.b_rel_tol * hi or hi - lo >= width:
-            break
-    if rate_star == -math.inf:  # no feasible bandwidth in the first pass
+    b = np.geomspace(opts.b_min, opts.b_max, opts.grid_points)
+    fov = _unified_grid(cfg, cs, b)
+    on = np.isfinite(fov)
+    trace = np.column_stack([b[on], fov[on], _rate_raw(cfg, ctx, b[on], fov[on])])
+    rate, b_star, fov_star = (float(v[0]) for v in
+                              _solve(cfg, ctx, cs.fov_min, cs.l_max, cs.a_max, opts))
+    if math.isnan(rate):  # no feasible point on either piece
         return OptimumResult(
-            feasible=False, b_star=math.nan, fov_star=math.nan, rate_star=math.nan,
+            feasible=False, b_star=b_star, fov_star=fov_star, rate_star=rate,
             boundary_trace=trace, diagnostic=_infeasible_diagnostic(cfg, cs, opts),
         )
     return OptimumResult(
-        feasible=True,
-        b_star=b_star,
-        fov_star=fov_star,
-        rate_star=rate_star,
+        feasible=True, b_star=b_star, fov_star=fov_star, rate_star=rate,
         active_constraints=_active_constraints(cfg, cs, b_star, fov_star),
         boundary_trace=trace,
     )

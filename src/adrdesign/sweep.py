@@ -22,7 +22,7 @@ from .adr import AdrConfig, PdPhysical
 from .beam import PropagatedBeam
 from .link import LinkContext, LinkParams, NoiseModel, _rate_raw
 from .optics import CAP_SLACK, TruncationSpec
-from .optimizer import ConstraintSet, SolverOptions, _unified_grid, maximize_rate_constrained
+from .optimizer import ConstraintSet, SolverOptions, _solve, _unified_grid
 
 __all__ = [
     "Axis",
@@ -345,16 +345,12 @@ def feasible_region(cfg: AdrConfig, ctx: LinkContext, cs: ConstraintSet, axes: t
 def rmax_surface(cfg: AdrConfig, ctx: LinkContext, fov_min: float, l_axis: Axis,
                  a_axis: Axis, options: Optional[SolverOptions] = None,
                  config_name: str = "", timestamp: Optional[str] = None) -> Grid2D:
-    """Constrained maximum rate per (l_max, a_max) cell."""
+    """Constrained maximum rate per (l_max, a_max) cell, all cells in one batched solve."""
     opts = options or SolverOptions(grid_points=400)
     lv, av = l_axis.values(), a_axis.values()
-    vals = np.full((l_axis.count, a_axis.count), np.nan)
-    for i, lm in enumerate(lv):
-        for j, am in enumerate(av):
-            res = maximize_rate_constrained(
-                cfg, ctx, ConstraintSet(fov_min=fov_min, l_max=float(lm), a_max=float(am)),
-                opts)
-            vals[i, j] = res.rate_star if res.feasible else np.nan
+    rates = _solve(cfg, ctx, np.full(lv.size * av.size, fov_min), np.repeat(lv, av.size),
+                   np.tile(av, lv.size), opts)[0]
+    vals = rates.reshape(lv.size, av.size)
     meta = _metadata("rmax_surface", cfg, ctx, "rmax",
                      {"fov_min": fov_min, "solver": asdict(opts)}, config_name, timestamp)
     return Grid2D(axes=(l_axis, a_axis), values=vals, metadata=meta)
@@ -373,18 +369,15 @@ def rmax_vs_fovmin(cfgs: dict, ctx: LinkContext, scenario: str,
     l_max, a_max = SCENARIOS[scenario]
     trunc = truncation or TruncationSpec()
     opts = options or SolverOptions(grid_points=400)
+    fds = [float(fd) for fd in fov_min_deg_values]
     rows = []
     for name in sorted(cfgs):
         base = cfgs[name]
         for variant, cfg in (("original", replace(base, truncation=None)),
                              ("truncated", replace(base, truncation=trunc))):
-            for fd in fov_min_deg_values:
-                cs = ConstraintSet(fov_min=math.radians(float(fd)), l_max=l_max, a_max=a_max)
-                res = maximize_rate_constrained(cfg, ctx, cs, opts)
-                rows.append({
-                    "config": name, "variant": variant, "fov_min_deg": float(fd),
-                    "rate_bps": res.rate_star if res.feasible else float("nan"),
-                })
+            rates = _solve(cfg, ctx, np.radians(fds), l_max, a_max, opts)[0]
+            rows.extend({"config": name, "variant": variant, "fov_min_deg": fd,
+                         "rate_bps": float(rate)} for fd, rate in zip(fds, rates))
     meta = {"operation": "rmax_vs_fovmin", "scenario": scenario,
             "l_max": l_max, "a_max": a_max,
             "truncation": asdict(trunc), "context": _ctx_snapshot(ctx)}

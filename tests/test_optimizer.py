@@ -445,6 +445,126 @@ def test_solver_matches_bisection_oracle(rng, monkeypatch):
     assert 0 < feasible < 40
 
 
+def _grid_zoom_oracle(cfg, ctx, cs, opts):
+    """The former B-grid zoom over f_fov, kept as an oracle for the search:
+    (feasible, R*, active constraints, diagnostic)."""
+    lo, hi = opts.b_min, opts.b_max
+    rate_star = -math.inf
+    while True:
+        b = np.geomspace(lo, hi, opts.grid_points)
+        fov = _unified_grid(cfg, cs, b)
+        feasible = np.isfinite(fov)
+        rates = np.full(b.shape, -np.inf)
+        rates[feasible] = _rate_raw(cfg, ctx, b[feasible], fov[feasible])
+        i = int(np.argmax(rates))
+        if rates[i] > rate_star:
+            rate_star, b_star, fov_star = float(rates[i]), float(b[i]), float(fov[i])
+        width = hi - lo
+        lo, hi = b[max(i - 1, 0)], b[min(i + 1, len(b) - 1)]
+        if not feasible.any() or hi - lo <= opts.b_rel_tol * hi or hi - lo >= width:
+            break
+    if rate_star == -math.inf:
+        return False, math.nan, frozenset(), optimizer._infeasible_diagnostic(cfg, cs, opts)
+    return True, rate_star, optimizer._active_constraints(cfg, cs, b_star, fov_star), ""
+
+
+def _noise_contexts():
+    return {
+        (pt, mode): load_config(None, overrides={
+            ("beam", "pt_mw"): pt, ("noise", "mode"): mode,
+            ("noise", "rin_per_hz"): 1e-14 if mode == "full" else None,
+        }).context()
+        for pt in (10.0, 16.0) for mode in ("thermal_only", "full")
+    }
+
+
+def test_search_matches_grid_zoom_oracle(rng):
+    # the explicit two-piece search against the former B-grid zoom: the same
+    # feasibility, active sets and diagnostics, and R* never lower by more
+    # than 1e-9 relative. Draws cover every preset, tier 0, truncation, both
+    # noise models, 400- and 2000-point grids and infeasible caps.
+    contexts = _noise_contexts()
+    seen = {"infeasible": 0, "segment": 0, "curve": 0, "kink": 0}
+    for _ in range(120):
+        cfg = _random_any_cfg(rng)
+        ctx = contexts[(float(rng.choice([10.0, 16.0])),
+                        str(rng.choice(["thermal_only", "full"])))]
+        cap = fov_cap(cfg.n_tier)
+        if rng.random() < 0.25:
+            # both caps meet at one (B, FOV) point: the edge has a kink there
+            fov_min = rng.uniform(math.radians(5), 0.8 * cap)
+            geo = geometry(cfg, rng.uniform(1e9, 10e9), rng.uniform(fov_min, cap))
+            cs = ConstraintSet(fov_min, l_max=geo.height, a_max=geo.top_area)
+        else:
+            cs = ConstraintSet(
+                fov_min=rng.uniform(math.radians(5), min(math.pi / 2, 1.5 * cap)
+                                    if rng.random() < 0.2 else cap),
+                l_max=10 ** rng.uniform(-3.5, -1.4) if rng.random() < 0.8 else None,
+                a_max=10 ** rng.uniform(-6.5, -3.1) if rng.random() < 0.8 else None,
+            )
+        opts = SolverOptions(grid_points=int(rng.choice([400, 2000])))
+        res = maximize_rate_constrained(cfg, ctx, cs, opts)
+        feasible, rate, active, diagnostic = _grid_zoom_oracle(cfg, ctx, cs, opts)
+        assert res.feasible == feasible
+        assert res.active_constraints == active
+        assert res.diagnostic == diagnostic
+        if not feasible:
+            seen["infeasible"] += 1
+            continue
+        assert res.rate_star >= rate * (1 - 1e-9)
+        if "fov" in active:
+            seen["segment"] += 1
+        else:
+            seen["kink" if active == {"height", "area"} else "curve"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_tiny_fov_min_solves_without_float_warnings(ctx10):
+    # the curve starts at fov_min, where the boundary coefficients overflow;
+    # those points are infeasible, not float errors (warnings are errors here)
+    cfg = preset("config2")
+    ref = maximize_rate_constrained(cfg, ctx10, ConstraintSet(1e-9, l_max=0.01, a_max=2e-4))
+    for fov_min in (1e-30, 1e-200):
+        res = maximize_rate_constrained(cfg, ctx10, ConstraintSet(fov_min, l_max=0.01, a_max=2e-4))
+        assert res.active_constraints == ref.active_constraints == {"height"}
+        assert res.rate_star == pytest.approx(ref.rate_star, rel=1e-12)
+    rates = optimizer._solve(cfg, ctx10, np.array([1e-200, 1e-200]), np.array([1e-6, 0.01]),
+                             None, SolverOptions(grid_points=400))[0]
+    assert np.isnan(rates[0]) and rates[1] == pytest.approx(ref.rate_star, rel=1e-9)
+
+
+def test_boundary_trace_is_the_first_grid_pass(ctx16, monkeypatch):
+    # the trace is f_fov and the rate over the whole B range, bit for bit,
+    # from the one _unified_grid call the solve makes
+    calls = []
+    original = optimizer._unified_grid
+
+    def counting(cfg, cs, b):
+        calls.append(np.size(b))
+        return original(cfg, cs, b)
+
+    cases = [
+        (preset("config1", truncation=TRUNC), ConstraintSet(FOV30, l_max=0.005, a_max=0.5e-4),
+         SolverOptions()),
+        (preset("config4"), ConstraintSet(math.radians(12), l_max=0.01), SolverOptions(grid_points=400)),
+        (preset("config2"), ConstraintSet(FOV30), SolverOptions(grid_points=300)),
+        (preset("config1"), ConstraintSet(FOV30, l_max=1e-5), SolverOptions()),
+    ]
+    for cfg, cs, opts in cases:
+        b = np.geomspace(opts.b_min, opts.b_max, opts.grid_points)
+        fov = original(cfg, cs, b)
+        on = np.isfinite(fov)
+        expected = np.column_stack([b[on], fov[on], _rate_raw(cfg, ctx16, b[on], fov[on])])
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_unified_grid", counting)
+            res = maximize_rate_constrained(cfg, ctx16, cs, opts)
+        assert calls == [opts.grid_points]
+        assert res.boundary_trace.shape == expected.shape
+        assert np.array_equal(res.boundary_trace, expected)
+    assert res.boundary_trace.shape == (0, 3) and not res.feasible
+
+
 # ---------------------------------------------------------------- gradients
 
 def _fd(fn, x, h):

@@ -7,19 +7,23 @@ import pytest
 
 from adrdesign import (
     Axis,
+    AdrConfig,
     ConstraintSet,
     SolverOptions,
+    TruncationSpec,
     contour_points,
     default_axes,
     design_space,
     feasible_region,
     grid_sweep,
+    maximize_rate_constrained,
     preset,
     regenerate,
     rmax_surface,
     rmax_vs_fovmin,
 )
-from adrdesign import sweep
+from adrdesign import optimizer, sweep
+from adrdesign.link import _rate_raw
 from adrdesign.sweep import MASK_LABELS, FovSweepTable, Grid2D, RegionMask
 
 FOV30 = math.radians(30.0)
@@ -275,6 +279,72 @@ def test_rmax_vs_fovmin_table_structure(ctx16):
     json.loads(table.to_json())
     with pytest.raises(ValueError):
         rmax_vs_fovmin({"config1": preset("config1")}, ctx16, "XXX", (30.0,))
+
+
+def test_rmax_surface_equals_looped_solves(ctx16):
+    # the batched surface is a loop of one-set solves, cell for cell; the
+    # lowest l_max row lies below every reachable height (infeasible) and the
+    # top row and column leave the optimum uncapped
+    cfg = preset("config1", truncation=TruncationSpec())
+    l_axis = Axis("l_max", "m", 1e-4, 0.05, 6, "log")
+    a_axis = Axis("a_max", "m2", 0.2e-4, 20e-4, 5, "log")
+    opts = SolverOptions(grid_points=400)
+    surf = rmax_surface(cfg, ctx16, FOV30, l_axis, a_axis, opts)
+    looped = np.array([[maximize_rate_constrained(
+        cfg, ctx16, ConstraintSet(FOV30, l_max=float(lm), a_max=float(am)), opts).rate_star
+        for am in a_axis.values()] for lm in l_axis.values()])
+    assert np.array_equal(np.isnan(surf.values), np.isnan(looped))
+    assert np.isnan(surf.values[0]).all() and np.isfinite(surf.values[1:]).all()
+    uncapped = maximize_rate_constrained(cfg, ctx16, ConstraintSet(FOV30), opts).rate_star
+    assert surf.values[-1, -1] == pytest.approx(uncapped, rel=1e-9)
+    ok = np.isfinite(looped)
+    assert np.all(np.abs(surf.values[ok] - looped[ok]) <= 1e-12 * looped[ok])
+
+
+def test_rmax_vs_fovmin_equals_looped_solves(ctx16):
+    # every regime, original and truncated; the tier-0 rows above its 30 deg
+    # cap are infeasible, and the NCD rows carry no cap at all
+    cfgs = {"config1": preset("config1"), "config5": preset("config5"),
+            "tier0": AdrConfig(n_tier=0, n_pd=4)}
+    fovs = (8.0, 25.0, 31.0, 45.0, 70.0)
+    opts = SolverOptions(grid_points=400)
+    trunc = TruncationSpec()
+    for scenario, (l_max, a_max) in sweep.SCENARIOS.items():
+        table = rmax_vs_fovmin(cfgs, ctx16, scenario, fovs, options=opts)
+        rows = iter(table.rows)
+        for name in sorted(cfgs):
+            for variant, cfg in (("original", cfgs[name]),
+                                 ("truncated", replace(cfgs[name], truncation=trunc))):
+                for fd in fovs:
+                    row = next(rows)
+                    assert (row["config"], row["variant"], row["fov_min_deg"]) == (
+                        name, variant, fd)
+                    cs = ConstraintSet(math.radians(fd), l_max=l_max, a_max=a_max)
+                    res = maximize_rate_constrained(cfg, ctx16, cs, opts)
+                    assert math.isnan(row["rate_bps"]) == (not res.feasible)
+                    if res.feasible:
+                        assert abs(row["rate_bps"] - res.rate_star) <= 1e-12 * res.rate_star
+                    if name == "tier0" and fd > 30.0:
+                        assert not res.feasible
+        assert next(rows, None) is None
+
+
+def test_batched_studies_validate_every_constraint_set(ctx16, monkeypatch):
+    # each cell is still checked like a ConstraintSet, before any solve
+    evaluated = []
+    monkeypatch.setattr(optimizer, "_rate_raw",
+                        lambda *args: evaluated.append(args) or _rate_raw(*args))
+    cfg = preset("config1")
+    l_ok, a_ok = Axis("l_max", "m", 0.005, 0.02, 3), Axis("a_max", "m2", 1e-4, 4e-4, 3)
+    with pytest.raises(ValueError, match="l_max"):
+        rmax_surface(cfg, ctx16, FOV30, Axis("l_max", "m", -0.01, 0.02, 4), a_ok)
+    with pytest.raises(ValueError, match="a_max"):
+        rmax_surface(cfg, ctx16, FOV30, l_ok, Axis("a_max", "m2", 0.0, 4e-4, 3))
+    for fd in (0.0, 95.0):
+        with pytest.raises(ValueError, match="fov_min"):
+            rmax_vs_fovmin({"config1": cfg, "config2": preset("config2")}, ctx16, "MCD",
+                           (30.0, fd))
+    assert evaluated == []
 
 
 def test_mask_labels_inventory():
