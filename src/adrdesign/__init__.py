@@ -10,6 +10,7 @@ from .adr import (
     acceptance_angle,
     element_count,
     geometry,
+    k_pd_from_physical,
     pd_bandwidth_full,
     pd_bandwidth_optimal,
     pd_side_from_bandwidth,

@@ -84,8 +84,7 @@ class AdrConfig:
     n_pd: int  # PDs per array, a perfect square
     fill_factor: float = 0.7
     n_cpc: float = 1.7
-    k_pd: float = DEFAULT_K_PD  # [s/m]; ignored when pd_physical is set
-    pd_physical: Optional[PdPhysical] = None
+    k_pd: float = DEFAULT_K_PD  # [s/m]; compose from PD constants with k_pd_from_physical
     truncation: Optional[TruncationSpec] = None
 
     def __post_init__(self):
@@ -98,13 +97,6 @@ class AdrConfig:
             raise ValueError(f"fill_factor must be in (0, 1], got {self.fill_factor}")
         require_at_least("n_cpc", self.n_cpc, 1)
         require_positive("k_pd", self.k_pd)
-
-    @property
-    def kpd(self) -> float:
-        """Active area-bandwidth constant [s/m] (direct or composed)."""
-        if self.pd_physical is not None:
-            return k_pd_from_physical(self.pd_physical)
-        return self.k_pd
 
     @property
     def tau(self) -> float:
@@ -245,7 +237,7 @@ def _area_bandwidth(k_pd: float, x):
 
 def _exit_diameter(cfg: AdrConfig, b):
     """CPC exit aperture D2 that covers the square array of N_PD PDs at fill factor FF."""
-    return _area_bandwidth(cfg.kpd, b) * math.sqrt(cfg.n_pd / cfg.fill_factor)
+    return _area_bandwidth(cfg.k_pd, b) * math.sqrt(cfg.n_pd / cfg.fill_factor)
 
 
 def _entrance_diameter(cfg: AdrConfig, b, theta):
@@ -289,7 +281,7 @@ def geometry(cfg: AdrConfig, bandwidth: float, fov: float) -> AdrGeometry:
     return AdrGeometry(
         theta_cpc=theta,
         tilt_angles=tuple(2 * i * theta for i in range(1, cfg.n_tier + 1)),
-        pd_side=_area_bandwidth(cfg.kpd, bandwidth),
+        pd_side=_area_bandwidth(cfg.k_pd, bandwidth),
         exit_diameter=_exit_diameter(cfg, bandwidth),
         entrance_diameter=float(_entrance_diameter(cfg, bandwidth, theta)),
         height=float(_height(cfg, bandwidth, theta)),

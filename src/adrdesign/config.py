@@ -11,10 +11,10 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .adr import DEFAULT_K_PD, AdrConfig, PdPhysical, preset
+from .adr import DEFAULT_K_PD, AdrConfig, PdPhysical, k_pd_from_physical, preset
 from .beam import LensSpec, SourceBeam, transform_through_lens
 from .link import LinkContext, LinkParams, NoiseModel
 from .optics import TruncationSpec
@@ -56,7 +56,6 @@ DEFAULTS = {
         "fill_factor": 0.7,
         "n_cpc": 1.7,
         "k_pd_s_per_m": DEFAULT_K_PD,
-        "k_pd_mode": "direct",
         "epsilon_r": None,
         "v_s_m_per_s": None,
         "r_l_ohm": None,
@@ -72,7 +71,7 @@ DEFAULTS = {
     },
 }
 
-_STRING_KEYS = {("noise", "mode"), ("adr", "preset"), ("adr", "k_pd_mode")}
+_STRING_KEYS = {("noise", "mode"), ("adr", "preset")}
 _BOOL_KEYS = {("adr", "truncated")}
 _INT_KEYS = {("adr", "n_tier"), ("adr", "n_pd"), ("solver", "grid_points")}
 
@@ -130,29 +129,14 @@ class RunConfig:
         a = self.adr
         trunc = (TruncationSpec(a["truncation_tau"], a["truncation_gamma"])
                  if a["truncated"] else None)
-        pd_phys = None
-        if a["k_pd_mode"] == "composed":
-            missing = [k for k in ("epsilon_r", "v_s_m_per_s", "r_l_ohm") if a[k] is None]
-            if missing:
-                raise ConfigError(
-                    f"adr.k_pd_mode=composed needs adr.{', adr.'.join(missing)}"
-                )
-            pd_phys = PdPhysical(
-                relative_permittivity=a["epsilon_r"],
-                load_resistance=a["r_l_ohm"],
-                saturation_velocity=a["v_s_m_per_s"],
-            )
-        if a["n_tier"] is not None or a["n_pd"] is not None:
-            if a["n_tier"] is None or a["n_pd"] is None:
-                raise ConfigError("adr.n_tier and adr.n_pd must be given together")
-            return AdrConfig(
-                n_tier=a["n_tier"], n_pd=a["n_pd"], fill_factor=a["fill_factor"],
-                n_cpc=a["n_cpc"], k_pd=a["k_pd_s_per_m"], pd_physical=pd_phys,
-                truncation=trunc,
-            )
-        base = preset(a["preset"], truncation=trunc)
-        return replace(base, fill_factor=a["fill_factor"], n_cpc=a["n_cpc"],
-                       k_pd=a["k_pd_s_per_m"], pd_physical=pd_phys)
+        n_tier, n_pd = a["n_tier"], a["n_pd"]
+        if n_tier is None and n_pd is None:
+            named = preset(a["preset"])
+            n_tier, n_pd = named.n_tier, named.n_pd
+        if n_tier is None or n_pd is None:
+            raise ConfigError("adr.n_tier and adr.n_pd must be given together")
+        return AdrConfig(n_tier=n_tier, n_pd=n_pd, fill_factor=a["fill_factor"],
+                         n_cpc=a["n_cpc"], k_pd=a["k_pd_s_per_m"], truncation=trunc)
 
     def solver_options(self) -> SolverOptions:
         s = self.solver
@@ -164,10 +148,7 @@ class RunConfig:
         )
 
     def effective_dict(self) -> dict:
-        return {
-            "beam": dict(self.beam), "link": dict(self.link), "noise": dict(self.noise),
-            "adr": dict(self.adr), "solver": dict(self.solver),
-        }
+        return {name: dict(getattr(self, name)) for name in DEFAULTS}
 
 
 def _coerce(section: str, key: str, raw: str):
@@ -196,11 +177,27 @@ def _validate(cfg: RunConfig) -> RunConfig:
             f"beam.pt_mw = {cfg.beam['pt_mw']:g} exceeds the eye-safety cap "
             f"pt_max_mw = {cfg.beam['pt_max_mw']:g}"
         )
+    if cfg.noise["rin_per_hz"] is not None and cfg.noise["mode"] != "full":
+        raise ConfigError(f"noise.rin_per_hz needs noise.mode = full, not {cfg.noise['mode']}")
     # construct every derived object once so invariants are checked at load time
     cfg.context()
     cfg.adr_config()
     cfg.solver_options()
     return cfg
+
+
+def _resolve_adr(a: dict, given: set) -> None:
+    """Compose K_PD into adr.k_pd_s_per_m from the PD keys; reject overridden keys."""
+    pd_keys = ("epsilon_r", "r_l_ohm", "v_s_m_per_s")  # in PdPhysical's field order
+    if any(a[k] is not None for k in pd_keys):
+        missing = [f"adr.{k}" for k in pd_keys if a[k] is None]
+        if missing:
+            raise ConfigError(f"composing K_PD from PD constants needs {', '.join(missing)}")
+        if ("adr", "k_pd_s_per_m") in given:
+            raise ConfigError(f"adr.k_pd_s_per_m cannot be set with adr.{', adr.'.join(pd_keys)}")
+        a["k_pd_s_per_m"] = k_pd_from_physical(PdPhysical(*(a[k] for k in pd_keys)))
+    if ("adr", "preset") in given and (a["n_tier"] is not None or a["n_pd"] is not None):
+        raise ConfigError("adr.preset cannot be set together with adr.n_tier / adr.n_pd")
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
@@ -210,6 +207,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     mapping applied after the file, used by CLI flags.
     """
     sections = {name: dict(vals) for name, vals in DEFAULTS.items()}
+    given = set()  # (section, key) pairs set by the file or the overrides
     if path is not None:
         parser = configparser.ConfigParser()
         try:
@@ -232,10 +230,13 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
                         f"{sorted(sections[section])}"
                     )
                 sections[section][key] = _coerce(section, key, raw)
+                given.add((section, key))
     for (section, key), value in (overrides or {}).items():
         if section not in sections or key not in sections[section]:
             raise ConfigError(f"unknown override {section}.{key}")
         sections[section][key] = value
+        given.add((section, key))
+    _resolve_adr(sections["adr"], given)
     cfg = RunConfig(source_path=path, **sections)
     return _validate(cfg)
 

@@ -73,6 +73,8 @@ class NoiseModel:
         if self.mode not in ("thermal_only", "full"):
             raise ValueError(f"mode must be 'thermal_only' or 'full', got {self.mode!r}")
         if self.rin is not None:
+            if self.mode != "full":
+                raise ValueError(f"rin needs mode 'full'; mode {self.mode!r} has no RIN term")
             require_at_least("rin", self.rin, 0)
 
 
@@ -84,7 +86,7 @@ class LinkBudget:
     noise_psd: float  # [A^2/Hz]
     snr: float
     rate: float  # [bit/s]
-    rin_included: bool  # False when mode='full' ran without a RIN figure
+    rin_included: bool  # False without a RIN figure
 
 
 @dataclass(frozen=True)
@@ -188,5 +190,5 @@ def link_budget(cfg: AdrConfig, bandwidth: float, fov: float, ctx: LinkContext) 
         noise_psd=n0,
         snr=snr,
         rate=rate,
-        rin_included=ctx.noise.mode == "full" and ctx.noise.rin is not None,
+        rin_included=ctx.noise.rin is not None,
     )

@@ -61,6 +61,8 @@ class ConstraintSet:
             raise ValueError(
                 f"fov_min {math.degrees(self.fov_min):.3f} deg outside (0, 90] deg"
             )
+        if self.fov_min < np.finfo(float).tiny:  # the search divides by it
+            raise ValueError(f"fov_min {self.fov_min!r} rad is subnormal")
         for name in ("l_max", "a_max"):
             if getattr(self, name) is not None:
                 require_positive(name, getattr(self, name))
@@ -242,7 +244,8 @@ def _infeasible_diagnostic(cfg: AdrConfig, cs: ConstraintSet, opts: SolverOption
     for which, bound in (("height", cs.l_max), ("area", cs.a_max)):
         if bound is None:
             continue
-        b_needed = float(_boundary(cfg, which, cs.fov_min / (2 * cfg.n_tier + 1), bound))
+        with np.errstate(over="ignore"):  # a tiny fov_min needs B = inf
+            b_needed = float(_boundary(cfg, which, cs.fov_min / (2 * cfg.n_tier + 1), bound))
         if b_needed > opts.b_max:
             parts.append(
                 f"{which} bound {bound:g} needs B >= {b_needed / 1e9:.3g} GHz at "

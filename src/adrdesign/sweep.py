@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import adr as adr_mod
-from .adr import AdrConfig, PdPhysical
+from .adr import AdrConfig, PdPhysical, k_pd_from_physical
 from .beam import PropagatedBeam
 from .link import LinkContext, LinkParams, NoiseModel, _rate_raw
 from .optics import CAP_SLACK, TruncationSpec
@@ -223,8 +223,6 @@ def _cfg_snapshot(cfg: AdrConfig) -> dict:
         "n_tier": cfg.n_tier, "n_pd": cfg.n_pd, "fill_factor": cfg.fill_factor,
         "n_cpc": cfg.n_cpc, "k_pd": cfg.k_pd,
     }
-    if cfg.pd_physical is not None:
-        snap["pd_physical"] = asdict(cfg.pd_physical)
     if cfg.truncation is not None:
         snap["truncation"] = asdict(cfg.truncation)
     return snap
@@ -236,8 +234,9 @@ def _ctx_snapshot(ctx: LinkContext) -> dict:
 
 def _cfg_from_snapshot(snap: dict) -> AdrConfig:
     kwargs = dict(snap)
-    if "pd_physical" in kwargs:
-        kwargs["pd_physical"] = PdPhysical(**kwargs["pd_physical"])
+    phys = kwargs.pop("pd_physical", None)  # the only legacy path: PD constants in old snapshots
+    if phys is not None:
+        kwargs["k_pd"] = k_pd_from_physical(PdPhysical(**phys))
     if "truncation" in kwargs:
         kwargs["truncation"] = TruncationSpec(**kwargs["truncation"])
     return AdrConfig(**kwargs)

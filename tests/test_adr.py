@@ -12,6 +12,7 @@ from adrdesign import (
     cpc_derive,
     element_count,
     geometry,
+    load_config,
     pd_bandwidth_full,
     pd_bandwidth_optimal,
     pd_side_from_bandwidth,
@@ -111,13 +112,21 @@ def test_bandwidth_full_requires_thickness():
 
 
 def test_composed_k_pd_consistency():
+    # K_PD = sqrt(4 pi e0 er R_L / (0.44 v_s)), the constant of the optimal-thickness bound
     k = k_pd_from_physical(PHYS)
+    assert k == pytest.approx(math.sqrt(
+        4 * math.pi * EPSILON_0 * 11.7 * 135.0 / (0.44 * 1e5)), rel=1e-14)
     area = (40e-6) ** 2
     assert pd_bandwidth_optimal(PHYS, area) == pytest.approx(
         1.0 / (k * math.sqrt(area)), rel=1e-14
     )
-    cfg = AdrConfig(n_tier=1, n_pd=4, pd_physical=PHYS)
-    assert cfg.kpd == pytest.approx(k, rel=1e-14)
+    # the config composes the same float once, at load time, into the one k_pd field
+    run = load_config(None, {("adr", "epsilon_r"): 11.7, ("adr", "r_l_ohm"): 135.0,
+                             ("adr", "v_s_m_per_s"): 1e5})
+    assert run.adr["k_pd_s_per_m"] == k
+    cfg = run.adr_config()
+    assert cfg == AdrConfig(n_tier=1, n_pd=4, k_pd=k)
+    assert geometry(cfg, B_REF, FOV30).pd_side == pd_side_from_bandwidth(B_REF, k)
 
 
 def test_geometry_reference_point():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adrdesign.cli import _trace_csv, main
+from adrdesign.adr import PdPhysical, k_pd_from_physical, pd_side_from_bandwidth
 from adrdesign.config import ConfigError, load_config, parse_quantity
 
 
@@ -62,6 +63,10 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text("[adr]\ndepletion_um = 2\n")
     with pytest.raises(ConfigError, match="depletion_um"):
         load_config(str(path))
+    # the PD keys alone choose the composed K_PD
+    path.write_text("[adr]\nk_pd_mode = composed\n")
+    with pytest.raises(ConfigError, match="unknown key adr.k_pd_mode"):
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("section,key,field", [
@@ -85,6 +90,59 @@ def test_custom_adr_section(tmp_path):
     assert cfg.n_tier == 2 and cfg.n_pd == 16
     assert cfg.truncation is not None
     assert cfg.truncation.length_ratio == 0.6
+
+
+PD_KEYS = {"epsilon_r": 11.9, "r_l_ohm": 50.0, "v_s_m_per_s": 1e5}
+
+
+def test_pd_keys_compose_k_pd(tmp_path, capsys):
+    path = tmp_path / "pd.ini"
+    path.write_text("[adr]\n" + "".join(f"{k} = {v!r}\n" for k, v in PD_KEYS.items()))
+    rc = main(["design", "--config", str(path), "--b", "2.1GHz", "--fov", "30deg",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    k = k_pd_from_physical(PdPhysical(11.9, 50.0, 1e5))
+    doc = json.loads((tmp_path / "design_summary.json").read_text())
+    assert doc["pd_side_m"] == pd_side_from_bandwidth(2.1e9, k)
+    assert doc["config"]["adr"]["k_pd_s_per_m"] == k  # the K_PD the run used
+    assert "388.21 um" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("missing", sorted(PD_KEYS))
+def test_pd_keys_must_come_together(missing):
+    overrides = {("adr", k): v for k, v in PD_KEYS.items() if k != missing}
+    with pytest.raises(ConfigError, match=f"needs adr.{missing}$"):
+        load_config(None, overrides)
+
+
+def test_keys_that_another_key_overrides_are_rejected(tmp_path):
+    path = tmp_path / "both.ini"
+    pd_lines = "".join(f"{k} = {v!r}\n" for k, v in PD_KEYS.items())
+    path.write_text("[adr]\nk_pd_s_per_m = 1.5e-6\n" + pd_lines)
+    with pytest.raises(ConfigError, match="k_pd_s_per_m"):
+        load_config(str(path))
+    path.write_text("[adr]\n" + pd_lines)
+    with pytest.raises(ConfigError, match="k_pd_s_per_m"):
+        load_config(str(path), {("adr", "k_pd_s_per_m"): 1.5e-6})
+    path.write_text('[adr]\npreset = "config4"\nn_tier = 2\nn_pd = 16\n')
+    with pytest.raises(ConfigError, match="preset"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match="preset"):
+        load_config(None, {("adr", "preset"): "config2", ("adr", "n_tier"): 1,
+                           ("adr", "n_pd"): 4})
+    # --preset nulls the file's n_tier / n_pd, so the preset decides
+    cfg = load_config(str(path), {("adr", "preset"): "config1", ("adr", "n_tier"): None,
+                                  ("adr", "n_pd"): None}).adr_config()
+    assert (cfg.n_tier, cfg.n_pd) == (1, 4)
+
+
+def test_rin_needs_the_full_noise_model(tmp_path):
+    path = tmp_path / "rin.ini"
+    path.write_text("[noise]\nrin_per_hz = 1e-14\n")
+    with pytest.raises(ConfigError, match="noise.rin_per_hz"):
+        load_config(str(path))
+    path.write_text("[noise]\nmode = full\nrin_per_hz = 1e-14\n")
+    assert load_config(str(path)).noise_model().rin == 1e-14
 
 
 def test_solver_section(tmp_path):

@@ -97,6 +97,13 @@ def test_noise_psd_full_mode():
     )
 
 
+def test_rin_rejected_without_full_noise():
+    # thermal_only has no RIN term, so a RIN figure there would be dropped
+    with pytest.raises(ValueError, match="rin needs mode 'full'"):
+        NoiseModel(rin=1e-14)
+    assert NoiseModel(mode="full", rin=1e-14).rin == 1e-14
+
+
 def test_noise_psd_requires_at_least_one_pd():
     with pytest.raises(ValueError):
         noise_psd(NoiseModel(), 0)

@@ -412,15 +412,12 @@ def test_truncation_effect_on_optima(ctx16):
 
 
 def test_solver_matches_bisection_oracle(rng, monkeypatch):
-    # the old and new boundary inverses must give the same solve: feasibility,
-    # active sets and diagnostics identical, R* to 1e-9 relative
-    contexts = {
-        (pt, mode): load_config(None, overrides={
-            ("beam", "pt_mw"): pt, ("noise", "mode"): mode,
-            ("noise", "rin_per_hz"): 1e-14 if mode == "full" else None,
-        }).context()
-        for pt in (10.0, 16.0) for mode in ("thermal_only", "full")
-    }
+    # the search never inverts a boundary, so it is checked against the former
+    # B-grid zoom run on the former bisection inverse: feasibility, active sets
+    # and diagnostics identical, R* never lower by more than 1e-9 relative.
+    # The boundary trace does invert: the same bandwidths under both inverses,
+    # FOV and rate to 1e-12 relative.
+    contexts = _noise_contexts()
     feasible = 0
     for _ in range(40):
         cfg = _random_any_cfg(rng)
@@ -435,13 +432,18 @@ def test_solver_matches_bisection_oracle(rng, monkeypatch):
         new = maximize_rate_constrained(cfg, ctx, cs, opts)
         with monkeypatch.context() as m:
             m.setattr(optimizer, "_invert_boundary_grid", _bisection_inverse)
-            old = maximize_rate_constrained(cfg, ctx, cs, opts)
-        assert new.feasible == old.feasible
-        assert new.active_constraints == old.active_constraints
-        assert new.diagnostic == old.diagnostic
-        if old.feasible:
+            old_feasible, old_rate, old_active, old_diagnostic = _grid_zoom_oracle(
+                cfg, ctx, cs, opts)
+            old_trace = maximize_rate_constrained(cfg, ctx, cs, opts).boundary_trace
+        assert new.feasible == old_feasible
+        assert new.active_constraints == old_active
+        assert new.diagnostic == old_diagnostic
+        if old_feasible:
             feasible += 1
-            assert new.rate_star == pytest.approx(old.rate_star, rel=1e-9)
+            assert new.rate_star >= old_rate * (1 - 1e-9)
+        assert new.boundary_trace.shape == old_trace.shape
+        assert np.array_equal(new.boundary_trace[:, 0], old_trace[:, 0])
+        assert np.allclose(new.boundary_trace[:, 1:], old_trace[:, 1:], rtol=1e-12, atol=0)
     assert 0 < feasible < 40
 
 
@@ -531,6 +533,26 @@ def test_tiny_fov_min_solves_without_float_warnings(ctx10):
     rates = optimizer._solve(cfg, ctx10, np.array([1e-200, 1e-200]), np.array([1e-6, 0.01]),
                              None, SolverOptions(grid_points=400))[0]
     assert np.isnan(rates[0]) and rates[1] == pytest.approx(ref.rate_star, rel=1e-9)
+
+
+def test_tiny_fov_min_diagnostic_and_subnormal_rejected(ctx10):
+    # infeasible caps at a tiny fov_min: the diagnostic evaluates the boundary
+    # there without float warnings (warnings are errors here) and still names
+    # the cap; a subnormal fov_min, whose reciprocal overflows, is rejected
+    cfg = preset("config2")
+    res = maximize_rate_constrained(cfg, ctx10, ConstraintSet(1e-200, l_max=1e-6))
+    assert not res.feasible
+    assert res.diagnostic.startswith("height bound 1e-06 needs B >= inf GHz at fov_min")
+    res = maximize_rate_constrained(cfg, ctx10, ConstraintSet(1e-200, a_max=1e-12))
+    assert res.diagnostic.startswith("area bound 1e-12 needs B >= inf GHz at fov_min")
+    for fov_min in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="fov_min"):
+            ConstraintSet(fov_min, l_max=0.01)
+        with pytest.raises(ValueError, match="fov_min"):
+            optimizer._solve(cfg, ctx10, np.array([0.5, fov_min]), np.array([0.01, 0.01]),
+                             None, SolverOptions(grid_points=400))
+    assert maximize_rate_constrained(
+        cfg, ctx10, ConstraintSet(np.finfo(float).tiny, l_max=0.01)).feasible
 
 
 def test_boundary_trace_is_the_first_grid_pass(ctx16, monkeypatch):

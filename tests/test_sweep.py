@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from dataclasses import asdict, replace
@@ -23,6 +24,7 @@ from adrdesign import (
     rmax_vs_fovmin,
 )
 from adrdesign import optimizer, sweep
+from adrdesign.adr import DEFAULT_K_PD, PdPhysical, k_pd_from_physical
 from adrdesign.link import _rate_raw
 from adrdesign.sweep import MASK_LABELS, FovSweepTable, Grid2D, RegionMask
 
@@ -123,6 +125,19 @@ def test_serialisation_round_trip_and_regeneration(ctx10):
     assert len(doc["values"]) == 1600
     header = grid.to_csv().splitlines()[0]
     assert header == "b_Hz,fov_deg,rate"
+
+
+def test_legacy_pd_physical_snapshot_regenerates(ctx10):
+    # snapshots written when AdrConfig carried PD constants hold them next to
+    # the k_pd they overrode; regenerating composes K_PD from them
+    phys = PdPhysical(11.9, 50.0, 1e5)
+    grid = grid_sweep(AdrConfig(n_tier=1, n_pd=16, k_pd=k_pd_from_physical(phys)), ctx10,
+                      "rate", small_axes(20, 20), config_name="custom")
+    assert "pd_physical" not in grid.metadata["snapshot"]["adr"]
+    meta = copy.deepcopy(grid.metadata)
+    meta["snapshot"]["adr"].update(k_pd=DEFAULT_K_PD, pd_physical=asdict(phys))
+    legacy = Grid2D(axes=grid.axes, values=grid.values, metadata=meta)
+    assert np.array_equal(regenerate(legacy).values, grid.values, equal_nan=True)
 
 
 def test_csv_fields_are_numbers(ctx10):
