@@ -42,7 +42,6 @@ from .optics import (
     CpcSpec,
     THETA_CPC_MAX,
     TruncationSpec,
-    apply_truncation,
     cpc_derive,
 )
 from .optimizer import (

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .optics import CAP_SLACK, THETA_CPC_MAX, TruncationSpec, cpc_entrance_diameter, cpc_length
+from .optics import (CAP_SLACK, THETA_CPC_MAX, TruncationSpec, cpc_entrance_diameter,
+                     cpc_length, require_at_least, require_positive)
 
 __all__ = [
     "EPSILON_0",
@@ -41,18 +42,6 @@ EPSILON_0 = 8.8541878128e-12  # vacuum permittivity [F/m]
 # reference design point (B, FOV) = (2.1 GHz, 30 deg) -> (1.99 cm, 2.12 cm^2);
 # see adrdesign.calibrate for the fit and its residuals.
 DEFAULT_K_PD = 1.746e-6  # [s/m]
-
-
-def require_positive(name: str, value) -> None:
-    """Reject a scalar input that is not finite and positive (NaN and inf pass `<= 0`)."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def require_at_least(name: str, value, floor: float) -> None:
-    """Reject a scalar input that is not finite or lies below floor (NaN passes `< floor`)."""
-    if not floor <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= {floor:g}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import adr, calibrate as calibrate_mod, sweep as sweep_mod
 from .config import ConfigError, load_config, parse_quantity
-from .link import link_budget
-from .optics import TruncationSpec
+from .link import NoiseModel, link_budget
 from .optimizer import ConstraintSet, maximize_rate_constrained
 from .sweep import default_axes
 
@@ -45,25 +44,28 @@ def _write(outdir: str, name: str, text: str) -> str:
     return path
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, preset: bool = True, truncated: bool = True):
+    """Flags shared by the subcommands; --preset and --truncated only where they are read."""
     p.add_argument("--config", help="INI config file; omitted means all defaults")
-    p.add_argument("--preset", help="ADR preset name (config1 .. config6)")
+    if preset:
+        p.add_argument("--preset", help="ADR preset name (config1 .. config6)")
     p.add_argument("--pt-mw", help="transmit power override, e.g. 16mW or 16")
-    p.add_argument("--truncated", action="store_true",
-                   help="use truncated CPCs (adr.truncation_tau / _gamma)")
+    if truncated:
+        p.add_argument("--truncated", action="store_true",
+                       help="use truncated CPCs (adr.truncation_tau / _gamma)")
     p.add_argument("--out", default=None,
                    help="output directory (default $ADRDESIGN_OUTDIR or '.')")
 
 
-def _load(args) -> tuple:
-    overrides = {}
-    if args.preset:
+def _load(args, overrides=()) -> tuple:
+    overrides = dict(overrides)
+    if getattr(args, "preset", None):
         overrides[("adr", "preset")] = args.preset.lower()
         overrides[("adr", "n_tier")] = None
         overrides[("adr", "n_pd")] = None
     if args.pt_mw:
         overrides[("beam", "pt_mw")] = parse_quantity(args.pt_mw, "power") * 1e3
-    if args.truncated:
+    if getattr(args, "truncated", False):
         overrides[("adr", "truncated")] = True
     run = load_config(args.config, overrides)
     outdir = args.out or os.environ.get("ADRDESIGN_OUTDIR") or "."
@@ -164,13 +166,12 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_compare_truncation(args) -> int:
-    run, outdir = _load(args)
+    run, outdir = _load(args, {("adr", "truncated"): True})
     ctx = run.context()
     cs = _constraints(args, run)
-    trunc = TruncationSpec(run.adr["truncation_tau"], run.adr["truncation_gamma"])
-    base = run.adr_config()
-    original = replace(base, truncation=None)
-    truncated = replace(base, truncation=trunc)
+    truncated = run.adr_config()
+    original = replace(truncated, truncation=None)
+    trunc = truncated.truncation
     res_o = maximize_rate_constrained(original, ctx, cs, run.solver_options())
     res_t = maximize_rate_constrained(truncated, ctx, cs, run.solver_options())
     _print_optimum("original ", res_o)
@@ -228,7 +229,7 @@ def _cmd_calibrate(args) -> int:
     print(f"fitted K_PD = {result.k_pd:.6e} s/m "
           f"(shipped default {adr.DEFAULT_K_PD:.6e})")
     print(f"fitted R_L  = {result.load_resistance:.1f} ohm "
-          f"(shipped default {run.noise['load_resistance_ohm']:.1f})")
+          f"(shipped default {NoiseModel().load_resistance:.1f})")
     print("residuals at the fit / at the shipped defaults:")
     for name in result.residuals:
         print(f"  {name:<20s} {100 * result.residuals[name]:+7.3f} %   "
@@ -279,14 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-truncation",
                        help="optimise original and truncated variants, report the delta")
-    _add_common(p)
+    _add_common(p, truncated=False)
     p.add_argument("--fov-min", required=True)
     p.add_argument("--l-max")
     p.add_argument("--a-max")
     p.set_defaults(func=_cmd_compare_truncation)
 
     p = sub.add_parser("calibrate", help="re-fit K_PD and R_L, print residuals")
-    _add_common(p)
+    _add_common(p, preset=False, truncated=False)
     p.set_defaults(func=_cmd_calibrate)
     return parser
 

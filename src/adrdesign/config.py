@@ -27,6 +27,8 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag value; the message names the key."""
 
 
+_TRUNCATION = TruncationSpec()  # supplies the defaults of the truncation keys
+
 DEFAULTS = {
     "beam": {
         "w0_um": 10.0,
@@ -60,8 +62,8 @@ DEFAULTS = {
         "v_s_m_per_s": None,
         "r_l_ohm": None,
         "truncated": False,
-        "truncation_tau": 0.6,
-        "truncation_gamma": 0.9,
+        "truncation_tau": _TRUNCATION.length_ratio,
+        "truncation_gamma": _TRUNCATION.gain_retention,
     },
     "solver": {
         "b_min_ghz": 0.1,
@@ -187,7 +189,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
 
 
 def _resolve_adr(a: dict, given: set) -> None:
-    """Compose K_PD into adr.k_pd_s_per_m from the PD keys; reject overridden keys."""
+    """Compose K_PD into adr.k_pd_s_per_m from the PD keys; reject keys that change nothing."""
     pd_keys = ("epsilon_r", "r_l_ohm", "v_s_m_per_s")  # in PdPhysical's field order
     if any(a[k] is not None for k in pd_keys):
         missing = [f"adr.{k}" for k in pd_keys if a[k] is None]
@@ -198,6 +200,9 @@ def _resolve_adr(a: dict, given: set) -> None:
         a["k_pd_s_per_m"] = k_pd_from_physical(PdPhysical(*(a[k] for k in pd_keys)))
     if ("adr", "preset") in given and (a["n_tier"] is not None or a["n_pd"] is not None):
         raise ConfigError("adr.preset cannot be set together with adr.n_tier / adr.n_pd")
+    for key in ("truncation_tau", "truncation_gamma"):
+        if ("adr", key) in given and not a["truncated"]:
+            raise ConfigError(f"adr.{key} needs adr.truncated = true or --truncated")
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:

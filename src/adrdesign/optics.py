@@ -1,10 +1,11 @@
-"""Compound parabolic concentrator (CPC) geometry and length truncation.
+"""Compound parabolic concentrator (CPC) closed forms and truncation constants.
 
 A CPC with acceptance half-angle theta and refractive index n reaches the
 etendue-limited concentration gain n^2 / sin^2(theta). Truncating its length
-trades a little gain for a much shorter package; the two-constant model used
-here keeps the acceptance angle fixed and scales length and gain by
-configurable factors.
+trades a little gain for a much shorter package; the two-constant model keeps
+the acceptance angle fixed and scales length and gain by the factors of a
+TruncationSpec. This module holds the full-length forms only: the receiver
+kernel in adrdesign.adr is the one place that applies the truncation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "cpc_entrance_diameter",
     "cpc_length",
     "cpc_derive",
-    "apply_truncation",
 ]
 
 # Largest admissible acceptance half-angle. The receiver's field of view is
@@ -33,6 +33,18 @@ THETA_CPC_MAX = math.pi / 6
 # Relative slack of every FOV and acceptance-angle cap test: tolerates the
 # 1-ulp overshoot of an angle derived from pi/2.
 CAP_SLACK = 1.0 + 1e-12
+
+
+def require_positive(name: str, value) -> None:
+    """Reject a scalar input that is not finite and positive (NaN and inf pass `<= 0`)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def require_at_least(name: str, value, floor: float) -> None:
+    """Reject a scalar input that is not finite or lies below floor (NaN passes `< floor`)."""
+    if not floor <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= {floor:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,15 +62,13 @@ class CpcSpec:
                 f"(0, 30] deg; angles above 30 deg are unreachable for a receiver whose "
                 f"field of view is capped at 90 deg"
             )
-        if self.refractive_index < 1:
-            raise ValueError(f"refractive_index must be >= 1, got {self.refractive_index}")
-        if self.exit_diameter <= 0:
-            raise ValueError(f"exit_diameter must be positive, got {self.exit_diameter}")
+        require_at_least("refractive_index", self.refractive_index, 1)
+        require_positive("exit_diameter", self.exit_diameter)
 
 
 @dataclass(frozen=True)
 class CpcGeometry:
-    """Derived dimensions of a (possibly truncated) concentrator."""
+    """Derived dimensions of a full-length concentrator."""
 
     acceptance_angle: float
     exit_diameter: float
@@ -114,21 +124,4 @@ def cpc_derive(spec: CpcSpec) -> CpcGeometry:
         entrance_diameter=d1,
         length=float(cpc_length(d1, d2, theta)),
         gain=(d1 / d2) ** 2,
-    )
-
-
-def apply_truncation(geom: CpcGeometry, trunc: TruncationSpec) -> CpcGeometry:
-    """Scale a full-length CPC by the truncation constants.
-
-    Entrance diameter scales by sqrt(gain_retention), length by length_ratio
-    and gain by gain_retention. Exit diameter and acceptance angle are
-    unchanged.
-    """
-    root_g = math.sqrt(trunc.gain_retention)
-    return CpcGeometry(
-        acceptance_angle=geom.acceptance_angle,
-        exit_diameter=geom.exit_diameter,
-        entrance_diameter=root_g * geom.entrance_diameter,
-        length=trunc.length_ratio * geom.length,
-        gain=trunc.gain_retention * geom.gain,
     )

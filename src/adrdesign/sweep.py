@@ -21,7 +21,7 @@ from . import adr as adr_mod
 from .adr import AdrConfig, PdPhysical, k_pd_from_physical
 from .beam import PropagatedBeam
 from .link import LinkContext, LinkParams, NoiseModel, _rate_raw
-from .optics import CAP_SLACK, TruncationSpec
+from .optics import CAP_SLACK, TruncationSpec, require_at_least
 from .optimizer import ConstraintSet, SolverOptions, _solve, _unified_grid
 
 __all__ = [
@@ -304,7 +304,10 @@ def design_space(cfg: AdrConfig, ctx: LinkContext, r_min: float, fov_min: float,
     """Cells meeting both a minimum rate and a minimum FOV.
 
     Cells below fov_min or above the FOV cap are labelled infeasible_fov.
+    fov_min is checked like a ConstraintSet's, and r_min must be finite and >= 0.
     """
+    ConstraintSet(fov_min)
+    require_at_least("r_min", r_min, 0)
     rates, valid = _grid_arrays(cfg, ctx, "rate", axes)
     fov_ok = np.broadcast_to((_fov_row(axes) >= fov_min / CAP_SLACK) & valid, rates.shape)
     labels = np.full(rates.shape, MASK_LABELS.index("feasible"), dtype=np.int8)

@@ -152,6 +152,17 @@ def test_geometry_truncation_scales_dimensions():
     assert cut.exit_diameter == plain.exit_diameter
     assert cut.height == pytest.approx(1.196845e-2, rel=1e-6)
     assert cut.top_area == pytest.approx(1.911490e-4, rel=1e-6)
+    # keeping the full length and gain is no truncation, bit for bit
+    for name in ("config1", "config3", "config6"):
+        assert (geometry(preset(name, truncation=TruncationSpec(1.0, 1.0)), B_REF, FOV30)
+                == geometry(preset(name), B_REF, FOV30))
+    # one bare CPC (air, 10 deg, D2 = 1.5 mm): 2.87 cm -> 1.72 cm, 0.586 -> 0.527 cm^2
+    single = AdrConfig(n_tier=0, n_pd=1, fill_factor=1.0, n_cpc=1.0,
+                       truncation=TruncationSpec(0.6, 0.9))
+    ref = geometry(single, 1.0 / (DEFAULT_K_PD * 1.5e-3), math.radians(10.0))
+    assert ref.exit_diameter == pytest.approx(1.5e-3, rel=1e-12)
+    assert ref.height == pytest.approx(1.724890e-2, rel=1e-5)
+    assert ref.top_area == pytest.approx(0.527441e-4, rel=1e-5)
 
 
 def test_quadrupling_array_scales_dimensions():

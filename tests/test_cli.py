@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +93,26 @@ def test_custom_adr_section(tmp_path):
     assert cfg.n_tier == 2 and cfg.n_pd == 16
     assert cfg.truncation is not None
     assert cfg.truncation.length_ratio == 0.6
+
+
+@pytest.mark.parametrize("key,field", [("truncation_tau", "length_ratio"),
+                                       ("truncation_gamma", "gain_retention")])
+def test_truncation_keys_need_truncated(tmp_path, capsys, key, field):
+    # without adr.truncated the constants change nothing, so they are rejected
+    path = tmp_path / "cut.ini"
+    path.write_text(f"[adr]\n{key} = 0.8\n")
+    with pytest.raises(ConfigError, match=f"adr.{key} needs adr.truncated"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=f"adr.{key}"):
+        load_config(None, {("adr", key): 0.8})
+    rc = main(["design", "--config", str(path), "--preset", "config1", "--b", "2.1GHz",
+               "--fov", "30deg", "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"adr.{key}" in capsys.readouterr().err
+    assert main(["design", "--config", str(path), "--truncated", "--preset", "config1",
+                 "--b", "2.1GHz", "--fov", "30deg", "--out", str(tmp_path)]) == 0
+    cut = load_config(str(path), {("adr", "truncated"): True}).adr_config().truncation
+    assert getattr(cut, field) == 0.8
 
 
 PD_KEYS = {"epsilon_r": 11.9, "r_l_ohm": 50.0, "v_s_m_per_s": 1e5}
@@ -298,6 +321,34 @@ def test_optimize_command_infeasible_still_exits_zero(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().out
 
 
+def test_compare_truncation_reads_the_truncation_keys(tmp_path):
+    path = tmp_path / "cut.ini"
+    path.write_text("[adr]\ntruncation_tau = 0.5\ntruncation_gamma = 0.8\n")
+    args = ["compare-truncation", "--preset", "config1", "--fov-min", "30",
+            "--l-max", "0.5cm", "--a-max", "0.5cm2", "--pt-mw", "16"]
+    assert main(args + ["--config", str(path), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "compare_truncation_summary.json").read_text())
+    assert doc["truncation"] == {"length_ratio": 0.5, "gain_retention": 0.8}
+    assert doc["config"]["adr"]["truncated"] is True
+    # the original variant does not depend on the truncation constants
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    default = json.loads((tmp_path / "default" / "compare_truncation_summary.json").read_text())
+    assert default["original"] == doc["original"]
+    assert default["truncated"] != doc["truncated"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--preset", "config2"],  # calibrate fits the anchors' own presets
+    ["calibrate", "--truncated"],
+    ["compare-truncation", "--truncated", "--fov-min", "30"],  # always truncates
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_truncation_command(tmp_path, capsys):
     rc = main(["compare-truncation", "--preset", "config1", "--fov-min", "30",
                "--l-max", "0.5cm", "--a-max", "0.5cm2", "--pt-mw", "16",
@@ -344,6 +395,30 @@ def test_calibrate_command(tmp_path, capsys):
     doc = json.loads((tmp_path / "calibration_summary.json").read_text())
     assert doc["k_pd_fit"] == pytest.approx(1.746e-6, rel=5e-3)
     assert all(abs(v) <= 0.02 for v in doc["residuals_frozen"].values())
+
+
+def test_calibrate_prints_the_load_it_compares_against(tmp_path, capsys):
+    # residuals_frozen are taken at the shipped R_L, whatever the config sets
+    path = tmp_path / "rl.ini"
+    path.write_text("[noise]\nload_resistance_ohm = 900\n")
+    assert main(["calibrate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "(shipped default 1150.0)" in capsys.readouterr().out
+
+
+def _readme_commands() -> list:
+    """The `adrdesign` lines of README's "Command line" block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("adrdesign ")]
+
+
+def test_readme_commands_run(tmp_path):
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == {
+        "design", "optimize", "compare-truncation", "sweep", "calibrate"}
+    for k, argv in enumerate(commands):
+        assert main(argv[1:] + ["--out", str(tmp_path / str(k))]) == 0, argv
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -208,6 +208,16 @@ def test_design_space_marks_cells_above_the_cap(ctx10):
     assert names.tolist() == [["design_space"] + ["infeasible_fov"] * 3] * 2
 
 
+@pytest.mark.parametrize("r_min,fov_min,name", [
+    (math.nan, FOV30, "r_min"),  # labelled no cell design_space
+    (1e9, math.nan, "fov_min"),  # labelled every cell infeasible_fov
+    (1e9, -1.0, "fov_min"),
+])
+def test_design_space_rejects_bad_arguments(ctx10, r_min, fov_min, name):
+    with pytest.raises(ValueError, match=name):
+        design_space(preset("config1"), ctx10, r_min, fov_min, small_axes(4, 4))
+
+
 def test_feasible_region_matches_direct_inequalities(ctx10):
     axes = small_axes(40, 40)
     cfg = preset("config2")
