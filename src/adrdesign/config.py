@@ -163,8 +163,8 @@ def _coerce(section: str, key: str, raw: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}")
-    if raw.lower() in ("none", ""):
-        return None
+    if raw.lower() in ("none", "") and DEFAULTS[section][key] is None:
+        return None  # only keys that default to None accept it
     try:
         if (section, key) in _INT_KEYS:
             return int(raw)

@@ -95,14 +95,6 @@ def _json_default(x):
     raise TypeError(f"not JSON serialisable: {type(x)}")
 
 
-def _cells_json(values: np.ndarray) -> list:
-    """The cells in row-major order as Python numbers, NaN as None (JSON null)."""
-    flat = values.ravel()
-    cells = flat.astype(object)
-    cells[np.isnan(flat)] = None
-    return cells.tolist()
-
-
 def _reprs(values: list) -> list:
     """repr() of every number in a flat list, formatted in C.
 
@@ -140,7 +132,13 @@ def _check_shape(field: str, cells: np.ndarray, axes: tuple) -> None:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Row-major 2-D grid of one evaluated quantity plus its provenance."""
+    """Row-major 2-D grid of one evaluated quantity plus its provenance.
+
+    values is made read-only, so the cell text below cannot go stale. The
+    first of to_csv / to_json formats every cell and leaves the joined text
+    on the grid; the next one takes it and drops it, so a CSV+JSON pair
+    formats each float once and the grid does not keep the text.
+    """
 
     axes: tuple  # (Axis, Axis); values.shape == (axes[0].count, axes[1].count)
     values: np.ndarray
@@ -148,18 +146,26 @@ class Grid2D:
 
     def __post_init__(self):
         _check_shape("values", self.values, self.axes)
+        self.values.flags.writeable = False
 
     def to_json(self) -> str:
-        doc = {
-            "axes": [asdict(a) for a in self.axes],
-            "values": _cells_json(self.values),
-            "metadata": self.metadata,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
+        text = self.__dict__.pop("_cells", None)
+        if text is None:
+            text = repr(self.values.ravel().tolist())[1:-1].replace(", ", ",")  # see _reprs
+            object.__setattr__(self, "_cells", text)
+        head = json.dumps({"axes": [asdict(a) for a in self.axes], "metadata": self.metadata},
+                          sort_keys=True, separators=(",", ":"), default=_json_default)
+        # "values" sorts last; json.dumps wrote NaN cells (as None) as null, inf as Infinity
+        cells = text.replace("nan", "null").replace("inf", "Infinity")
+        return f'{head[:-1]},"values":[{cells}]}}'
 
     def to_csv(self) -> str:
-        return _grid_csv(self.axes, self.metadata.get("quantity", "value"),
-                         _reprs(self.values.ravel().tolist()))
+        text = self.__dict__.pop("_cells", None)
+        cells = _reprs(self.values.ravel().tolist()) if text is None else text.split(",")
+        csv = _grid_csv(self.axes, self.metadata.get("quantity", "value"), cells)
+        if text is None:  # joined once the CSV is built: no addition to to_csv's peak memory
+            object.__setattr__(self, "_cells", ",".join(cells))
+        return csv
 
 
 @dataclass(frozen=True)

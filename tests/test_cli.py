@@ -86,6 +86,25 @@ def test_nan_config_values_rejected(section, key, field):
         load_config(None, {(section, key): math.nan})
 
 
+@pytest.mark.parametrize("ini,key", [
+    ("[adr]\nfill_factor = none\n", "adr.fill_factor"),
+    ("[beam]\npt_mw = none\n", "beam.pt_mw"),
+    ("[adr]\ntruncated = true\ntruncation_tau =\n", "adr.truncation_tau"),
+])
+def test_none_rejected_for_keys_with_a_value_default(tmp_path, capsys, ini, key):
+    # these used to load as None and end in a TypeError from a comparison
+    path = tmp_path / "none.ini"
+    path.write_text(ini)
+    with pytest.raises(ConfigError, match=f"^{key}: expected a number"):
+        load_config(str(path))
+    rc = main(["design", "--config", str(path), "--b", "2.1GHz", "--fov", "30deg",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    path.write_text("[noise]\nrin_per_hz = none\n[adr]\nn_tier =\nn_pd = none\n")
+    assert load_config(str(path)).adr_config() == load_config(None).adr_config()
+
+
 def test_custom_adr_section(tmp_path):
     path = tmp_path / "custom.ini"
     path.write_text("[adr]\nn_tier = 2\nn_pd = 16\ntruncated = true\n")

@@ -23,7 +23,7 @@ from adrdesign import (
     rmax_surface,
     rmax_vs_fovmin,
 )
-from adrdesign import optimizer, sweep
+from adrdesign import cli, optimizer, sweep
 from adrdesign.adr import DEFAULT_K_PD, PdPhysical, k_pd_from_physical
 from adrdesign.link import _rate_raw
 from adrdesign.sweep import MASK_LABELS, FovSweepTable, Grid2D, RegionMask
@@ -453,7 +453,47 @@ def test_grid_writers_match_per_cell_oracle(ctx10, rng):
     for grid in grids:
         assert grid.to_csv() == _oracle_grid_to_csv(grid)
         assert grid.to_json() == _oracle_grid_to_json(grid)
-        assert sweep._cells_json(grid.values) == _oracle_cells_json(grid.values)
+
+
+@pytest.mark.parametrize("order", [("csv", "json"), ("json", "csv"), ("json", "json"),
+                                   ("csv", "csv"), ("csv", "json", "csv")], ids="-".join)
+def test_grid_writers_share_cell_text_in_any_order(rng, order):
+    # the first writer formats the cells and the next one takes that text
+    grid = _special_grid(rng, {"quantity": "rate"})
+    oracle = {"csv": _oracle_grid_to_csv(grid), "json": _oracle_grid_to_json(grid)}
+    for kind in order:
+        assert getattr(grid, f"to_{kind}")() == oracle[kind]
+
+
+def test_grid_values_are_read_only(rng):
+    grid = _special_grid(rng, {})
+    oracle = _oracle_grid_to_json(grid)
+    grid.to_csv()
+    with pytest.raises(ValueError, match="read-only"):
+        grid.values[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid.values.ravel()[:] = 0.0
+    assert grid.to_json() == oracle
+
+
+@pytest.mark.parametrize("order", [("csv", "json"), ("json", "csv")], ids="-".join)
+def test_grid_keeps_no_cell_text_after_a_csv_json_pair(rng, order):
+    grid = _special_grid(rng, {})
+    for kind in order:
+        getattr(grid, f"to_{kind}")()
+    assert set(vars(grid)) == {"axes", "values", "metadata"}
+
+
+def test_sweep_command_writes_the_oracle_bytes(ctx10, tmp_path):
+    assert cli.main(["sweep", "rate", "--preset", "config2", "--nb", "13", "--nfov", "11",
+                     "--out", str(tmp_path)]) == 0
+    csv_bytes = (tmp_path / "sweep_rate_config2.csv").read_bytes()
+    json_bytes = (tmp_path / "sweep_rate_config2.json").read_bytes()
+    axes = tuple(Axis(**a) for a in json.loads(json_bytes)["axes"])
+    assert [(a.count, a.start, a.stop) for a in axes] == [(13, 1e8, 2e10), (11, 1.0, 90.0)]
+    grid = grid_sweep(preset("config2"), ctx10, "rate", axes, config_name="config2")
+    assert csv_bytes == _oracle_grid_to_csv(grid).encode()
+    assert json_bytes == _oracle_grid_to_json(grid).encode()
 
 
 def test_mask_writers_match_per_cell_oracle(ctx10, rng):
