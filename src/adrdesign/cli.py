@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -30,10 +29,6 @@ from .optimizer import ConstraintSet, maximize_rate_constrained
 from .sweep import default_axes
 
 __all__ = ["main"]
-
-
-def _json_dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
 
 
 def _write(outdir: str, name: str, text: str) -> str:
@@ -116,7 +111,7 @@ def _cmd_design(args) -> int:
     print(f"  height {geo.height * 100:.3f} cm, top area {geo.top_area * 1e4:.3f} cm^2")
     print(f"  P_r {budget.received_power * 1e6:.3f} uW, SNR {budget.snr:.2f}, "
           f"rate {budget.rate / 1e9:.3f} Gb/s")
-    path = _write(outdir, "design_summary.json", _json_dump(doc))
+    path = _write(outdir, "design_summary.json", sweep_mod._json(doc))
     print(f"summary written to {path}")
     return 0
 
@@ -158,7 +153,7 @@ def _cmd_optimize(args) -> int:
     doc = {"optimum": _optimum_doc(res), "constraints": {
         "fov_min_deg": math.degrees(cs.fov_min), "l_max_m": cs.l_max, "a_max_m2": cs.a_max,
     }, "config": run.effective_dict()}
-    path = _write(outdir, "optimize_summary.json", _json_dump(doc))
+    path = _write(outdir, "optimize_summary.json", sweep_mod._json(doc))
     trace_path = _write(outdir, "optimize_boundary_trace.csv", _trace_csv(res.boundary_trace))
     print(f"summary written to {path}")
     print(f"boundary trace written to {trace_path}")
@@ -189,7 +184,7 @@ def _cmd_compare_truncation(args) -> int:
                        "gain_retention": trunc.gain_retention},
         "config": run.effective_dict(),
     }
-    path = _write(outdir, "compare_truncation_summary.json", _json_dump(doc))
+    path = _write(outdir, "compare_truncation_summary.json", sweep_mod._json(doc))
     print(f"summary written to {path}")
     return 0
 
@@ -240,7 +235,7 @@ def _cmd_calibrate(args) -> int:
         "residuals_fit": result.residuals,
         "residuals_frozen": result.frozen_residuals,
     }
-    path = _write(outdir, "calibration_summary.json", _json_dump(doc))
+    path = _write(outdir, "calibration_summary.json", sweep_mod._json(doc))
     print(f"summary written to {path}")
     return 0
 

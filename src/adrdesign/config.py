@@ -12,6 +12,7 @@ import configparser
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 from .adr import DEFAULT_K_PD, AdrConfig, PdPhysical, k_pd_from_physical, preset
@@ -73,9 +74,14 @@ DEFAULTS = {
     },
 }
 
-_STRING_KEYS = {("noise", "mode"), ("adr", "preset")}
-_BOOL_KEYS = {("adr", "truncated")}
-_INT_KEYS = {("adr", "n_tier"), ("adr", "n_pd"), ("solver", "grid_points")}
+# Each key's values have its default's type; of the keys that default to None,
+# adr.n_tier and adr.n_pd hold integers and the others floats.
+_KINDS = {(section, key): float if value is None else type(value)
+          for section, values in DEFAULTS.items() for key, value in values.items()}
+_KINDS["adr", "n_tier"] = _KINDS["adr", "n_pd"] = int
+_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 @dataclass(frozen=True)
@@ -87,44 +93,23 @@ class RunConfig:
     noise: dict
     adr: dict
     solver: dict
-    source_path: Optional[str] = None
-
-    def source_beam(self) -> SourceBeam:
-        return SourceBeam(
-            waist_radius=self.beam["w0_um"] * 1e-6,
-            wavelength=self.beam["wavelength_nm"] * 1e-9,
-            medium_index=self.beam["medium_index"],
-            power=self.beam["pt_mw"] * 1e-3,
-        )
-
-    def lens(self) -> LensSpec:
-        return LensSpec(
-            focal_length=self.beam["lens_f_mm"] * 1e-3,
-            waist_to_lens_distance=self.beam["lens_d_mm"] * 1e-3,
-        )
-
-    def link_params(self) -> LinkParams:
-        return LinkParams(
-            distance=self.link["distance_m"],
-            responsivity=self.link["responsivity"],
-            snr_gap=self.link["snr_gap"],
-            transmit_power_cap=self.beam["pt_max_mw"] * 1e-3,
-        )
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(
-            temperature=self.noise["temperature_k"],
-            load_resistance=self.noise["load_resistance_ohm"],
-            noise_figure=10 ** (self.noise["noise_figure_db"] / 10.0),
-            mode=self.noise["mode"],
-            rin=self.noise["rin_per_hz"],
-        )
 
     def context(self) -> LinkContext:
+        b, n = self.beam, self.noise
+        source = SourceBeam(waist_radius=b["w0_um"] * 1e-6, wavelength=b["wavelength_nm"] * 1e-9,
+                            medium_index=b["medium_index"], power=b["pt_mw"] * 1e-3)
+        lens = LensSpec(focal_length=b["lens_f_mm"] * 1e-3,
+                        waist_to_lens_distance=b["lens_d_mm"] * 1e-3)
         return LinkContext(
-            beam=transform_through_lens(self.source_beam(), self.lens()),
-            link=self.link_params(),
-            noise=self.noise_model(),
+            beam=transform_through_lens(source, lens),
+            link=LinkParams(distance=self.link["distance_m"],
+                            responsivity=self.link["responsivity"],
+                            snr_gap=self.link["snr_gap"],
+                            transmit_power_cap=b["pt_max_mw"] * 1e-3),
+            noise=NoiseModel(temperature=n["temperature_k"],
+                             load_resistance=n["load_resistance_ohm"],
+                             noise_figure=10 ** (n["noise_figure_db"] / 10.0),
+                             mode=n["mode"], rin=n["rin_per_hz"]),
         )
 
     def adr_config(self) -> AdrConfig:
@@ -153,24 +138,32 @@ class RunConfig:
         return {name: dict(getattr(self, name)) for name in DEFAULTS}
 
 
-def _coerce(section: str, key: str, raw: str):
+def _parse(section: str, key: str, raw: str):
+    """A file value in its key's type where it reads as one; _checked rejects the rest."""
     raw = raw.strip().strip('"').strip("'")
-    if (section, key) in _STRING_KEYS:
+    kind = _KINDS[section, key]
+    if kind is str:
         return raw.lower()
-    if (section, key) in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}")
-    if raw.lower() in ("none", "") and DEFAULTS[section][key] is None:
-        return None  # only keys that default to None accept it
+    if kind is bool:
+        return _BOOL_WORDS.get(raw.lower(), raw)
+    if raw.lower() in ("none", ""):
+        return None
     try:
-        if (section, key) in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
+        return raw
+
+
+def _checked(section: str, key: str, value):
+    """value in its key's type (an int for a float key becomes a float), else ConfigError.
+    A bool is never a number, and None fits only the keys that default to None."""
+    kind = _KINDS[section, key]
+    if value is None and DEFAULTS[section][key] is None:
+        return None
+    if (isinstance(value, {int: Integral, float: Real}.get(kind, kind))
+            and isinstance(value, bool) == (kind is bool)):
+        return kind(value)
+    raise ConfigError(f"{section}.{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -234,16 +227,15 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
                         f"unknown key {section}.{key}; expected one of "
                         f"{sorted(sections[section])}"
                     )
-                sections[section][key] = _coerce(section, key, raw)
+                sections[section][key] = _checked(section, key, _parse(section, key, raw))
                 given.add((section, key))
     for (section, key), value in (overrides or {}).items():
         if section not in sections or key not in sections[section]:
             raise ConfigError(f"unknown override {section}.{key}")
-        sections[section][key] = value
+        sections[section][key] = _checked(section, key, value)
         given.add((section, key))
     _resolve_adr(sections["adr"], given)
-    cfg = RunConfig(source_path=path, **sections)
-    return _validate(cfg)
+    return _validate(RunConfig(**sections))
 
 
 # Suffixed quantities accepted on the command line, normalised to SI.

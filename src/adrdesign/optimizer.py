@@ -339,15 +339,12 @@ def maximize_rate_constrained(cfg: AdrConfig, ctx: LinkContext, cs: ConstraintSe
     trace = np.column_stack([b[on], fov[on], _rate_raw(cfg, ctx, b[on], fov[on])])
     rate, b_star, fov_star = (float(v[0]) for v in
                               _solve(cfg, ctx, cs.fov_min, cs.l_max, cs.a_max, opts))
-    if math.isnan(rate):  # no feasible point on either piece
-        return OptimumResult(
-            feasible=False, b_star=b_star, fov_star=fov_star, rate_star=rate,
-            boundary_trace=trace, diagnostic=_infeasible_diagnostic(cfg, cs, opts),
-        )
+    feasible = not math.isnan(rate)  # NaN: no feasible point on either piece
     return OptimumResult(
-        feasible=True, b_star=b_star, fov_star=fov_star, rate_star=rate,
-        active_constraints=_active_constraints(cfg, cs, b_star, fov_star),
-        boundary_trace=trace,
+        feasible=feasible, b_star=b_star, fov_star=fov_star, rate_star=rate, boundary_trace=trace,
+        active_constraints=(_active_constraints(cfg, cs, b_star, fov_star) if feasible
+                            else frozenset()),
+        diagnostic="" if feasible else _infeasible_diagnostic(cfg, cs, opts),
     )
 
 

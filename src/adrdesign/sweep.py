@@ -95,6 +95,11 @@ def _json_default(x):
     raise TypeError(f"not JSON serialisable: {type(x)}")
 
 
+def _json(doc: dict) -> str:
+    """The one JSON encoding of every artifact: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
+
+
 def _reprs(values: list) -> list:
     """repr() of every number in a flat list, formatted in C.
 
@@ -153,8 +158,7 @@ class Grid2D:
         if text is None:
             text = repr(self.values.ravel().tolist())[1:-1].replace(", ", ",")  # see _reprs
             object.__setattr__(self, "_cells", text)
-        head = json.dumps({"axes": [asdict(a) for a in self.axes], "metadata": self.metadata},
-                          sort_keys=True, separators=(",", ":"), default=_json_default)
+        head = _json({"axes": [asdict(a) for a in self.axes], "metadata": self.metadata})
         # "values" sorts last; json.dumps wrote NaN cells (as None) as null, inf as Infinity
         cells = text.replace("nan", "null").replace("inf", "Infinity")
         return f'{head[:-1]},"values":[{cells}]}}'
@@ -192,7 +196,7 @@ class RegionMask:
         }
         if self.boundary is not None:
             doc["boundary"] = np.asarray(self.boundary, dtype=float).tolist()
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
+        return _json(doc)
 
     def to_csv(self) -> str:
         return _grid_csv(self.axes, "label", self.label_names().ravel().tolist())
@@ -220,18 +224,7 @@ class FovSweepTable:
                     _reprs([r["rate_bps"] for r in self.rows]))
 
     def to_json(self) -> str:
-        return json.dumps({"rows": list(self.rows), "metadata": self.metadata},
-                          sort_keys=True, separators=(",", ":"), default=_json_default)
-
-
-def _cfg_snapshot(cfg: AdrConfig) -> dict:
-    snap = {
-        "n_tier": cfg.n_tier, "n_pd": cfg.n_pd, "fill_factor": cfg.fill_factor,
-        "n_cpc": cfg.n_cpc, "k_pd": cfg.k_pd,
-    }
-    if cfg.truncation is not None:
-        snap["truncation"] = asdict(cfg.truncation)
-    return snap
+        return _json({"rows": list(self.rows), "metadata": self.metadata})
 
 
 def _ctx_snapshot(ctx: LinkContext) -> dict:
@@ -264,7 +257,9 @@ def _metadata(op: str, cfg: AdrConfig, ctx: LinkContext, quantity: str,
         "config_name": config_name,
         "timestamp": timestamp,
         "args": args,
-        "snapshot": {"adr": _cfg_snapshot(cfg), "context": _ctx_snapshot(ctx)},
+        # no "truncation" key without truncation
+        "snapshot": {"adr": {k: v for k, v in asdict(cfg).items() if v is not None},
+                     "context": _ctx_snapshot(ctx)},
     }
 
 
@@ -426,24 +421,17 @@ def contour_points(grid: Grid2D, level: float) -> np.ndarray:
     horizontal and vertical cell edges (marching-squares edge tests without
     polygon assembly, which is all the threshold checks need).
     """
-    v = grid.values
-    x = grid.axes[0].values()
-    y = grid.axes[1].values()
-    pts = []
-    dv = v - level
+    x, y = grid.axes[0].values(), grid.axes[1].values()
+    dv = grid.values - level
     # edges along axis1 (same row, adjacent columns)
     sign = dv[:, :-1] * dv[:, 1:]
-    ii, jj = np.nonzero((sign < 0) & np.isfinite(sign))
-    for i, j in zip(ii, jj):
-        t = dv[i, j] / (dv[i, j] - dv[i, j + 1])
-        pts.append((x[i], y[j] + t * (y[j + 1] - y[j])))
+    i, j = np.nonzero((sign < 0) & np.isfinite(sign))
+    t = dv[i, j] / (dv[i, j] - dv[i, j + 1])
+    along1 = np.column_stack([x[i], y[j] + t * (y[j + 1] - y[j])])
     # edges along axis0 (same column, adjacent rows)
     sign = dv[:-1, :] * dv[1:, :]
-    ii, jj = np.nonzero((sign < 0) & np.isfinite(sign))
-    for i, j in zip(ii, jj):
-        t = dv[i, j] / (dv[i, j] - dv[i + 1, j])
-        pts.append((x[i] + t * (x[i + 1] - x[i]), y[j]))
-    exact_i, exact_j = np.nonzero(dv == 0)
-    for i, j in zip(exact_i, exact_j):
-        pts.append((x[i], y[j]))
-    return np.asarray(pts, dtype=float).reshape(-1, 2)
+    i, j = np.nonzero((sign < 0) & np.isfinite(sign))
+    t = dv[i, j] / (dv[i, j] - dv[i + 1, j])
+    along0 = np.column_stack([x[i] + t * (x[i + 1] - x[i]), y[j]])
+    i, j = np.nonzero(dv == 0)
+    return np.concatenate([along1, along0, np.column_stack([x[i], y[j]])])

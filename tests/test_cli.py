@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from adrdesign.cli import _trace_csv, main
-from adrdesign.adr import PdPhysical, k_pd_from_physical, pd_side_from_bandwidth
+from adrdesign.adr import PRESETS, PdPhysical, k_pd_from_physical, pd_side_from_bandwidth
+from adrdesign.beam import SourceBeam
 from adrdesign.config import ConfigError, load_config, parse_quantity
+from adrdesign.link import LinkParams, NoiseModel
+from adrdesign.optimizer import SolverOptions
 
 
 # ------------------------------------------------------------- configuration
@@ -105,6 +108,38 @@ def test_none_rejected_for_keys_with_a_value_default(tmp_path, capsys, ini, key)
     assert load_config(str(path)).adr_config() == load_config(None).adr_config()
 
 
+@pytest.mark.parametrize("key,value", [
+    (("adr", "fill_factor"), None),
+    (("beam", "pt_mw"), "12"),
+    (("beam", "pt_mw"), True),
+    (("solver", "grid_points"), 500.0),
+])
+def test_override_values_are_type_checked(key, value):
+    # these ended in a TypeError, or loaded True as 1 mW and 500.0 as an int key
+    with pytest.raises(ConfigError, match=rf"^{key[0]}\.{key[1]}: expected an? \w+, got"):
+        load_config(None, {key: value})
+
+
+def test_override_values_of_the_right_kind_load():
+    run = load_config(None, {("beam", "pt_mw"): 12, ("adr", "preset"): "config2",
+                             ("adr", "n_tier"): None, ("adr", "n_pd"): None,
+                             ("adr", "truncated"): True, ("solver", "grid_points"): np.int64(500)})
+    assert run.beam["pt_mw"] == 12.0 and type(run.beam["pt_mw"]) is float
+    assert type(run.solver["grid_points"]) is int
+    assert run.adr_config().truncation is not None
+
+
+def test_default_config_matches_the_library_defaults():
+    # DEFAULTS restates these dataclass defaults; a change to one must reach both
+    run = load_config(None)
+    ctx = run.context()
+    assert ctx.link == LinkParams()
+    assert ctx.noise == NoiseModel()
+    assert run.solver_options() == SolverOptions()
+    assert run.adr_config() == PRESETS["config1"]
+    assert ctx.beam.power == SourceBeam(waist_radius=1e-5, wavelength=950e-9).power
+
+
 def test_custom_adr_section(tmp_path):
     path = tmp_path / "custom.ini"
     path.write_text("[adr]\nn_tier = 2\nn_pd = 16\ntruncated = true\n")
@@ -184,7 +219,7 @@ def test_rin_needs_the_full_noise_model(tmp_path):
     with pytest.raises(ConfigError, match="noise.rin_per_hz"):
         load_config(str(path))
     path.write_text("[noise]\nmode = full\nrin_per_hz = 1e-14\n")
-    assert load_config(str(path)).noise_model().rin == 1e-14
+    assert load_config(str(path)).context().noise.rin == 1e-14
 
 
 def test_solver_section(tmp_path):

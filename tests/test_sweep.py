@@ -114,6 +114,58 @@ def test_contour_points_on_synthetic_plane():
     assert np.allclose(pts[:, 0] + pts[:, 1], 1.0, atol=1e-12)
 
 
+def _oracle_contour_points(grid, level):
+    # one crossing at a time: axis-1 edges, then axis-0 edges, then exact zeros
+    v = grid.values
+    x = grid.axes[0].values()
+    y = grid.axes[1].values()
+    pts = []
+    dv = v - level
+    sign = dv[:, :-1] * dv[:, 1:]
+    ii, jj = np.nonzero((sign < 0) & np.isfinite(sign))
+    for i, j in zip(ii, jj):
+        t = dv[i, j] / (dv[i, j] - dv[i, j + 1])
+        pts.append((x[i], y[j] + t * (y[j + 1] - y[j])))
+    sign = dv[:-1, :] * dv[1:, :]
+    ii, jj = np.nonzero((sign < 0) & np.isfinite(sign))
+    for i, j in zip(ii, jj):
+        t = dv[i, j] / (dv[i, j] - dv[i + 1, j])
+        pts.append((x[i] + t * (x[i + 1] - x[i]), y[j]))
+    exact_i, exact_j = np.nonzero(dv == 0)
+    for i, j in zip(exact_i, exact_j):
+        pts.append((x[i], y[j]))
+    return np.asarray(pts, dtype=float).reshape(-1, 2)
+
+
+def _assert_same_contour(grid, level):
+    with np.errstate(invalid="ignore"):  # inf * 0 where an inf cell meets an exact crossing
+        pts, oracle = contour_points(grid, level), _oracle_contour_points(grid, level)
+    assert pts.shape == oracle.shape and pts.dtype == oracle.dtype
+    assert pts.tobytes() == oracle.tobytes()
+    return pts
+
+
+def test_contour_points_match_the_per_crossing_loop(ctx10, rng):
+    grid = grid_sweep(preset("config2"), ctx10, "rate", default_axes())
+    for level in (10e9, 20e9):
+        assert len(_assert_same_contour(grid, level)) > 0
+    axes = (Axis("x", "u", -1.0, 2.0, 9, "linear"), Axis("y", "u", 1e-3, 1e3, 8, "log"))
+    values = rng.standard_normal((9, 8))
+    values.flat[rng.choice(72, 24, replace=False)] = [math.nan, math.inf, -math.inf, 0.0] * 6
+    synthetic = Grid2D(axes=axes, values=values, metadata={})
+    for level in (0.0, 0.5, -1.0):
+        _assert_same_contour(synthetic, level)
+    assert len(_assert_same_contour(synthetic, 0.0)) >= 6  # the exact zeros at least
+    assert _assert_same_contour(grid, 1e15).shape == (0, 2)  # no cell reaches the level
+
+
+def test_json_rejects_values_it_cannot_encode():
+    # a non-numeric object is an error, not written as its str()
+    with pytest.raises(TypeError):
+        sweep._json({"x": object()})
+    assert sweep._json({"b": np.float64(0.5), "a": np.int64(2)}) == '{"a":2,"b":0.5}'
+
+
 def test_serialisation_round_trip_and_regeneration(ctx10):
     axes = small_axes(40, 40)
     grid = grid_sweep(preset("config2"), ctx10, "rate", axes, config_name="config2")
