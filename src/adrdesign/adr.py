@@ -159,12 +159,12 @@ def acceptance_angle(fov: float, n_tier: int) -> float:
     return fov / (2 * int(n_tier) + 1)
 
 
-def fov_cap(n_tier: int) -> float:
-    """Largest valid FOV for a tier count: min(pi/2, (2*n_tier+1)*pi/6)."""
-    return min(math.pi / 2, (2 * int(n_tier) + 1) * THETA_CPC_MAX)
+def fov_cap(n_tier):
+    """Largest valid FOV for a tier count: min(pi/2, (2*n_tier+1)*pi/6). Array-capable."""
+    return np.minimum(math.pi / 2, (2 * n_tier + 1) * THETA_CPC_MAX)
 
 
-def fov_valid(n_tier: int, fov):
+def fov_valid(n_tier, fov):
     """Whether each FOV lies within fov_cap(n_tier), up to CAP_SLACK. Array-capable."""
     return np.asarray(fov) <= fov_cap(n_tier) * CAP_SLACK
 
@@ -206,18 +206,24 @@ def pd_side_from_bandwidth(bandwidth: float, k_pd: float = DEFAULT_K_PD) -> floa
     return _area_bandwidth(k_pd, bandwidth)
 
 
-def ring_sum(n_tier: int, theta):
-    """Projected-area factor 1 + sum_i 6 i cos(2 i theta); broadcasts against theta."""
+def ring_sum(n_tier, theta):
+    """Projected-area factor 1 + sum_i 6 i cos(2 i theta) over each row's tiers; broadcasts."""
     total = 1.0
-    for i in range(1, int(n_tier) + 1):
-        total = total + 6 * i * np.cos(2 * i * theta)
+    for i in range(1, int(np.max(n_tier, initial=0)) + 1):
+        total = total + 6 * i * (i <= n_tier) * np.cos(2 * i * theta)
     return total
 
 
 # Raw closed forms, array-capable and unvalidated; geometry(), the link
 # budget, the sweeps and the optimizer boundaries all evaluate these.
 # Every dimension scales with 1/B through D2, so height = h(theta) / B and
-# top area = a(theta) / B^2; the boundaries invert h and a directly.
+# top area = a(theta) / B^2; the boundaries invert h and a directly. cfg may
+# also hold each constant as a column, one receiver per row of the grids.
+
+def _sqrt(x):
+    """math.sqrt of a scalar constant, so scalar callers get floats; np.sqrt of a column."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
 
 def _area_bandwidth(k_pd: float, x):
     """B * d_PD = 1 / K_PD, solved for the PD side d_PD or the bandwidth B."""
@@ -226,14 +232,14 @@ def _area_bandwidth(k_pd: float, x):
 
 def _exit_diameter(cfg: AdrConfig, b):
     """CPC exit aperture D2 that covers the square array of N_PD PDs at fill factor FF."""
-    return _area_bandwidth(cfg.k_pd, b) * math.sqrt(cfg.n_pd / cfg.fill_factor)
+    return _area_bandwidth(cfg.k_pd, b) * _sqrt(cfg.n_pd / cfg.fill_factor)
 
 
 def _entrance_diameter(cfg: AdrConfig, b, theta):
     """Entrance aperture D1, scaled by sqrt(gain_retention) when truncated.
 
     D1 is linear in D2; scaling D2 costs no array operation for scalar B."""
-    d2 = math.sqrt(cfg.gain_retention) * _exit_diameter(cfg, b)
+    d2 = _sqrt(cfg.gain_retention) * _exit_diameter(cfg, b)
     return cpc_entrance_diameter(d2, cfg.n_cpc, theta)
 
 

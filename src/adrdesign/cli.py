@@ -55,7 +55,7 @@ def _add_common(p: argparse.ArgumentParser, preset: bool = True, truncated: bool
 def _load(args, overrides=()) -> tuple:
     overrides = dict(overrides)
     if getattr(args, "preset", None):
-        overrides[("adr", "preset")] = args.preset.lower()
+        overrides[("adr", "preset")] = args.preset
         overrides[("adr", "n_tier")] = None
         overrides[("adr", "n_pd")] = None
     if args.pt_mw:

@@ -142,11 +142,9 @@ def _parse(section: str, key: str, raw: str):
     """A file value in its key's type where it reads as one; _checked rejects the rest."""
     raw = raw.strip().strip('"').strip("'")
     kind = _KINDS[section, key]
-    if kind is str:
-        return raw.lower()
     if kind is bool:
         return _BOOL_WORDS.get(raw.lower(), raw)
-    if raw.lower() in ("none", ""):
+    if raw.lower() in ("none", "") and kind is not str:
         return None
     try:
         return kind(raw)
@@ -155,14 +153,14 @@ def _parse(section: str, key: str, raw: str):
 
 
 def _checked(section: str, key: str, value):
-    """value in its key's type (an int for a float key becomes a float), else ConfigError.
-    A bool is never a number, and None fits only the keys that default to None."""
+    """value in its key's type (an int for a float key becomes a float, a string is lowercased),
+    else ConfigError. A bool is never a number, and None fits only keys that default to None."""
     kind = _KINDS[section, key]
     if value is None and DEFAULTS[section][key] is None:
         return None
     if (isinstance(value, {int: Integral, float: Real}.get(kind, kind))
             and isinstance(value, bool) == (kind is bool)):
-        return kind(value)
+        return value.lower() if kind is str else kind(value)
     raise ConfigError(f"{section}.{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
 
 

@@ -146,7 +146,7 @@ def noise_psd(nm: NoiseModel, n_pd: int, received: float = 0.0,
     thermal_only: N0 = 4 kT / R_L * F_n * N_PD
     full:         adds 2 q R P_r and, if RIN is set, RIN (R P_r)^2.
     """
-    if n_pd < 1:
+    if np.any(np.asarray(n_pd) < 1):  # one count, or a column of them
         raise ValueError(f"n_pd must be >= 1, got {n_pd}")
     thermal = 4.0 * BOLTZMANN * nm.temperature / nm.load_resistance * nm.noise_figure * n_pd
     if nm.mode == "thermal_only":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -260,11 +261,11 @@ def _infeasible_diagnostic(cfg: AdrConfig, cs: ConstraintSet, opts: SolverOption
     return "; ".join(parts) or "no feasible bandwidth in the search range"
 
 
-def _solve(cfg: AdrConfig, ctx: LinkContext, fov_min, l_max, a_max,
-           opts: SolverOptions) -> tuple:
+def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) -> tuple:
     """(rate, B, FOV) at the optimum of each of K constraint sets; NaN where infeasible.
 
-    l_max and a_max hold K caps each, or are None for no cap. Each set zooms
+    cfg is one AdrConfig for every set, or a sequence of K, one per set. l_max
+    and a_max hold K caps each, or are None for no cap. Each set zooms
     the segment FOV = fov_min over B in [max(b_min, B_lo(fov_min)), b_max]
     and the curve B = B_lo(FOV) over FOV in [fov_min, cap], where B_lo must
     lie in [b_min, b_max], with one bracket per piece, and keeps the better.
@@ -279,23 +280,33 @@ def _solve(cfg: AdrConfig, ctx: LinkContext, fov_min, l_max, a_max,
             ConstraintSet(*(None if v is None else float(extreme(v))
                             for v in (fov_min, l_max, a_max)))
     k, n = fov_min.size, opts.grid_points
+    if isinstance(cfg, AdrConfig):  # one receiver: its constants stay scalars
+        receivers = lambda owner: cfg
+    elif len(cfg) == k:  # one per set: what the kernels read, as columns taken per row
+        cols = {name: np.array([getattr(c, name) for c in cfg], dtype=float)[:, None] for name
+                in ("k_pd", "n_pd", "fill_factor", "n_cpc", "tau", "gain_retention", "n_tier")}
+        receivers = lambda owner: SimpleNamespace(**{c: col[owner] for c, col in cols.items()})
+    else:
+        raise ValueError(f"{len(cfg)} receivers for {k} constraint sets")
+    n_tier = np.ravel(receivers(np.arange(k)).n_tier)  # of each set, or one for all
     bounds = [(which, np.broadcast_to(np.asarray(bound, dtype=float), (k,))[:, None])
               for which, bound in (("height", l_max), ("area", a_max)) if bound is not None]
 
     def b_lo(fov, owner):
-        """max(B_h, B_a) at each row of FOVs (0 without caps), and which cap binds;
-        inf, far above b_max, where a tiny FOV overflows the coefficients."""
+        """max(B_h, B_a) at each row of FOVs (0 without caps), and whether the second of two
+        caps binds; inf, far above b_max, where a tiny FOV overflows the coefficients."""
+        rcv = receivers(owner)
         with np.errstate(over="ignore"):
-            each = np.stack([_boundary(cfg, which, fov / (2 * cfg.n_tier + 1), bound[owner])
-                             for which, bound in bounds] or [np.zeros(fov.shape)])
-        return each.max(axis=0), each.argmax(axis=0)
+            each = [_boundary(rcv, which, fov / (2 * rcv.n_tier + 1), bound[owner])
+                    for which, bound in bounds] or [np.zeros(fov.shape)]
+        return np.maximum(each[0], each[-1]), each[-1] > each[0]
 
     # rows 0..k-1 are the segments, rows k..2k-1 the curves of the same sets
     seg_lo = np.maximum(opts.b_min, b_lo(fov_min[:, None], np.arange(k))[0][:, 0])
     lo = np.concatenate([seg_lo, fov_min])
-    hi = np.concatenate([np.full(k, opts.b_max), np.maximum(fov_min, fov_cap(cfg.n_tier))])
+    hi = np.concatenate([np.full(k, opts.b_max), np.maximum(fov_min, fov_cap(n_tier))])
     best = np.full((3, 2 * k), -np.inf)  # rate, B, FOV of each piece
-    valid = fov_valid(cfg.n_tier, fov_min)
+    valid = fov_valid(n_tier, fov_min)
     rows = np.flatnonzero(np.concatenate([valid & (seg_lo <= opts.b_max), valid & bool(bounds)]))
     t = np.linspace(0.0, 1.0, n)
     while rows.size:
@@ -304,18 +315,23 @@ def _solve(cfg: AdrConfig, ctx: LinkContext, fov_min, l_max, a_max,
         x[:, -1] = hi[rows]
         owner, curve = rows % k, rows >= k
         b, fov = x.copy(), np.where(curve[:, None], x, fov_min[owner, None])
-        binding = np.zeros(x.shape, dtype=int)
+        binding = np.zeros(x.shape, dtype=bool)
         b[curve], binding[curve] = b_lo(x[curve], owner[curve])
         feasible = (b >= opts.b_min) & (b <= opts.b_max)
+        # the kernel runs on whole rows, each infeasible point replaced by its row's first
+        # feasible one, so it sees only points of the search; rows without one are skipped
+        live, m, first = feasible.any(axis=1), np.arange(rows.size), np.argmax(feasible, axis=1)
+        b_at, fov_at = (np.where(feasible, v, v[m, first, None])[live] for v in (b, fov))
         rates = np.full(x.shape, -np.inf)
-        rates[feasible] = _rate_raw(cfg, ctx, b[feasible], fov[feasible])
-        m, i = np.arange(rows.size), np.argmax(rates, axis=1)
+        rates[live] = np.where(feasible[live],
+                               _rate_raw(receivers(owner[live]), ctx, b_at, fov_at), -np.inf)
+        i = np.argmax(rates, axis=1)
         better = rates[m, i] > best[0, rows]
         best[:, rows[better]] = np.stack([rates[m, i], b[m, i], fov[m, i]])[:, better]
         j, jj = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
         smooth = feasible[m, j] & feasible[m, jj] & (binding[m, j] == binding[m, jj])
         b_ends = np.where(smooth, np.stack([b[m, j], b[m, jj]]), 0.0)  # read only if smooth
-        done = (~feasible.any(axis=1)
+        done = (~live
                 | (smooth & (np.ptp(b_ends, axis=0) <= opts.b_rel_tol * b_ends.max(axis=0)))
                 | (x[m, jj] - x[m, j] >= hi[rows] - lo[rows]))
         lo[rows], hi[rows] = x[m, j], x[m, jj]

@@ -373,14 +373,14 @@ def rmax_vs_fovmin(cfgs: dict, ctx: LinkContext, scenario: str,
     trunc = truncation or TruncationSpec()
     opts = options or SolverOptions(grid_points=400)
     fds = [float(fd) for fd in fov_min_deg_values]
-    rows = []
-    for name in sorted(cfgs):
-        base = cfgs[name]
-        for variant, cfg in (("original", replace(base, truncation=None)),
-                             ("truncated", replace(base, truncation=trunc))):
-            rates = _solve(cfg, ctx, np.radians(fds), l_max, a_max, opts)[0]
-            rows.extend({"config": name, "variant": variant, "fov_min_deg": fd,
-                         "rate_bps": float(rate)} for fd, rate in zip(fds, rates))
+    keys = [(name, variant, cfg, fd) for name in sorted(cfgs)  # a set per row, one solve
+            for variant, cfg in (("original", replace(cfgs[name], truncation=None)),
+                                 ("truncated", replace(cfgs[name], truncation=trunc)))
+            for fd in fds]
+    rates = _solve([key[2] for key in keys], ctx, np.radians([key[3] for key in keys]),
+                   l_max, a_max, opts)[0]
+    rows = [{"config": name, "variant": variant, "fov_min_deg": fd, "rate_bps": float(rate)}
+            for (name, variant, _, fd), rate in zip(keys, rates)]
     meta = {"operation": "rmax_vs_fovmin", "scenario": scenario,
             "l_max": l_max, "a_max": a_max,
             "truncation": asdict(trunc), "context": _ctx_snapshot(ctx)}
@@ -422,15 +422,15 @@ def contour_points(grid: Grid2D, level: float) -> np.ndarray:
     polygon assembly, which is all the threshold checks need).
     """
     x, y = grid.axes[0].values(), grid.axes[1].values()
-    dv = grid.values - level
+    # an edge whose ends lie strictly on both sides crosses; a non-finite cell (NaN) never does
+    dv = np.where(np.isfinite(grid.values), grid.values - level, np.nan)
+    crossed = lambda a, b: np.nonzero((np.minimum(a, b) < 0) & (np.maximum(a, b) > 0))
     # edges along axis1 (same row, adjacent columns)
-    sign = dv[:, :-1] * dv[:, 1:]
-    i, j = np.nonzero((sign < 0) & np.isfinite(sign))
+    i, j = crossed(dv[:, :-1], dv[:, 1:])
     t = dv[i, j] / (dv[i, j] - dv[i, j + 1])
     along1 = np.column_stack([x[i], y[j] + t * (y[j + 1] - y[j])])
     # edges along axis0 (same column, adjacent rows)
-    sign = dv[:-1, :] * dv[1:, :]
-    i, j = np.nonzero((sign < 0) & np.isfinite(sign))
+    i, j = crossed(dv[:-1, :], dv[1:, :])
     t = dv[i, j] / (dv[i, j] - dv[i + 1, j])
     along0 = np.column_stack([x[i] + t * (x[i + 1] - x[i]), y[j]])
     i, j = np.nonzero(dv == 0)

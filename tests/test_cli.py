@@ -129,6 +129,18 @@ def test_override_values_of_the_right_kind_load():
     assert run.adr_config().truncation is not None
 
 
+def test_string_overrides_are_lowercased_like_file_values(tmp_path):
+    # a file value was lowercased and the same override was not: noise.mode
+    # "FULL" ended in NoiseModel's ValueError, adr.preset "CONFIG2" stayed upper case
+    path = tmp_path / "upper.ini"
+    path.write_text("[noise]\nmode = FULL\n[adr]\npreset = CONFIG2\n")
+    from_file = load_config(str(path))
+    run = load_config(None, {("noise", "mode"): "FULL", ("adr", "preset"): "CONFIG2"})
+    assert run.noise["mode"] == "full" and run.context().noise.mode == "full"
+    assert run.effective_dict()["adr"]["preset"] == "config2"
+    assert run.effective_dict() == from_file.effective_dict()
+
+
 def test_default_config_matches_the_library_defaults():
     # DEFAULTS restates these dataclass defaults; a change to one must reach both
     run = load_config(None)

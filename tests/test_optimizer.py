@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adrdesign import (
     BoundaryOutOfRange,
@@ -21,7 +22,7 @@ from adrdesign import (
     preset,
     unified_boundary,
 )
-from adrdesign.adr import AdrConfig, fov_cap
+from adrdesign.adr import PRESETS, AdrConfig, fov_cap
 from adrdesign.link import _rate_raw
 from adrdesign.optimizer import _invert_boundary_grid, _unified_grid
 
@@ -533,6 +534,67 @@ def test_tiny_fov_min_solves_without_float_warnings(ctx10):
     rates = optimizer._solve(cfg, ctx10, np.array([1e-200, 1e-200]), np.array([1e-6, 0.01]),
                              None, SolverOptions(grid_points=400))[0]
     assert np.isnan(rates[0]) and rates[1] == pytest.approx(ref.rate_star, rel=1e-9)
+
+
+# Receivers of the mixed batches: every preset plus a tier-0 2x2 array, whose
+# 30 deg FOV cap sits below the others' 90 deg.
+_RECEIVERS = [*PRESETS.values(), AdrConfig(n_tier=0, n_pd=4)]
+# (l_max, a_max) of a capped set: the MCD and SCD regimes and an l_max no receiver reaches
+_REGIMES = {"MCD": (0.02, 4e-4), "SCD": (0.005, 0.5e-4), "tiny l_max": (1e-6, 4e-4)}
+
+
+@st.composite
+def _mixed_batches(draw):
+    """A mixed batch of constraint sets, one receiver each, under one link context.
+
+    The sets share which caps exist (_solve takes K caps or none of a kind), so a
+    batch is either all NCD or all capped. fov_min = 1e-200 rows come only with caps:
+    an uncapped segment at that FOV overflows the rate kernel on either path.
+    """
+    capped = draw(st.booleans())
+    k = draw(st.integers(2, 9))
+    cfgs, fov_min, l_max, a_max = [], [], [], []
+    for _ in range(k):
+        cfg = draw(st.sampled_from(_RECEIVERS))
+        cfgs.append(replace(cfg, truncation=TRUNC) if draw(st.booleans()) else cfg)
+        degrees = st.one_of(st.floats(1.0, 89.0), st.floats(30.5, 60.0))  # above the tier-0 cap
+        fov_min.append(draw(st.one_of(degrees.map(math.radians),
+                                      *([st.just(1e-200)] if capped else []))))
+        if capped:
+            regime = draw(st.sampled_from([*_REGIMES, "drawn"]))
+            caps = _REGIMES.get(regime) or (draw(st.floats(1e-3, 0.05)),
+                                            draw(st.floats(1e-6, 1e-3)))
+            l_max.append(caps[0])
+            a_max.append(caps[1])
+    noise = draw(st.sampled_from([{}, {("noise", "mode"): "full", ("noise", "rin_per_hz"): 1e-13}]))
+    ctx = load_config(None, {("beam", "pt_mw"): 16.0, **noise}).context()
+    opts = SolverOptions(grid_points=draw(st.sampled_from([64, 400])))
+    caps = [np.array(v) if capped else None for v in (l_max, a_max)]
+    return cfgs, ctx, np.array(fov_min), *caps, opts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mixed_batches())
+def test_mixed_receiver_batch_equals_one_receiver_per_call(batch):
+    # the per-set constant columns give, bit for bit, what each receiver's own
+    # call gives with scalar constants; warnings are errors here, so neither path
+    # may evaluate the kernel where the other would not
+    cfgs, ctx, fov_min, l_max, a_max, opts = batch
+    batched = optimizer._solve(cfgs, ctx, fov_min, l_max, a_max, opts)
+    looped = np.full((3, len(cfgs)), np.nan)
+    for cfg in set(cfgs):
+        own = [i for i, c in enumerate(cfgs) if c == cfg]
+        caps = [None if v is None else v[own] for v in (l_max, a_max)]
+        looped[:, own] = optimizer._solve(cfg, ctx, fov_min[own], *caps, opts)
+    for got, want in zip(batched, looped):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_mixed_receiver_batch_needs_one_receiver_per_set(ctx10):
+    with pytest.raises(ValueError, match="2 receivers for 3 constraint sets"):
+        optimizer._solve([preset("config1"), preset("config2")], ctx10, np.full(3, FOV30),
+                         None, None, SolverOptions(grid_points=64))
 
 
 def test_tiny_fov_min_diagnostic_and_subnormal_rejected(ctx10):

@@ -138,8 +138,11 @@ def _oracle_contour_points(grid, level):
 
 
 def _assert_same_contour(grid, level):
-    with np.errstate(invalid="ignore"):  # inf * 0 where an inf cell meets an exact crossing
-        pts, oracle = contour_points(grid, level), _oracle_contour_points(grid, level)
+    # contour_points runs with float warnings as errors; the oracle's sign product
+    # makes inf * 0 where an inf cell meets an exact crossing
+    pts = contour_points(grid, level)
+    with np.errstate(invalid="ignore"):
+        oracle = _oracle_contour_points(grid, level)
     assert pts.shape == oracle.shape and pts.dtype == oracle.dtype
     assert pts.tobytes() == oracle.tobytes()
     return pts
@@ -157,6 +160,15 @@ def test_contour_points_match_the_per_crossing_loop(ctx10, rng):
         _assert_same_contour(synthetic, level)
     assert len(_assert_same_contour(synthetic, 0.0)) >= 6  # the exact zeros at least
     assert _assert_same_contour(grid, 1e15).shape == (0, 2)  # no cell reaches the level
+
+
+def test_contour_points_beside_an_infinite_cell_raise_no_float_warning():
+    # the sign product inf * 0 was NaN here, an error under this suite's
+    # filterwarnings = error; the inf cell still crosses nothing
+    axes = (Axis("x", "u", 0.0, 1.0, 2, "linear"), Axis("y", "u", 0.0, 1.0, 2, "linear"))
+    grid = Grid2D(axes=axes, values=np.array([[math.inf, 1.0], [0.0, 2.0]]), metadata={})
+    assert contour_points(grid, 1.0).tolist() == [[1.0, 0.5], [0.0, 1.0]]
+    _assert_same_contour(grid, 1.0)
 
 
 def test_json_rejects_values_it_cannot_encode():
@@ -404,6 +416,25 @@ def test_rmax_vs_fovmin_equals_looped_solves(ctx16):
                     if name == "tier0" and fd > 30.0:
                         assert not res.feasible
         assert next(rows, None) is None
+
+
+def test_rmax_vs_fovmin_table_is_one_solve(ctx16, monkeypatch):
+    # every (config, variant, fov_min) row is one set of a single batched solve,
+    # each set carrying its own receiver, in the table's row order
+    calls = []
+    monkeypatch.setattr(sweep, "_solve", lambda cfg, *args: calls.append((cfg, args[1]))
+                        or optimizer._solve(cfg, *args))
+    cfgs = {"config1": preset("config1"), "config5": preset("config5"),
+            "tier0": AdrConfig(n_tier=0, n_pd=4)}
+    table = rmax_vs_fovmin(cfgs, ctx16, "MCD", (10.0, 20.0, 40.0))
+    assert len(calls) == 1
+    receivers, fov_min = calls[0]
+    assert len(receivers) == len(fov_min) == len(table.rows) == 18
+    for cfg, fov, row in zip(receivers, fov_min, table.rows):
+        name, variant = row["config"], row["variant"]
+        assert cfg == replace(cfgs[name], truncation=TruncationSpec() if variant == "truncated"
+                              else None)
+        assert fov == math.radians(row["fov_min_deg"])
 
 
 def test_batched_studies_validate_every_constraint_set(ctx16, monkeypatch):
