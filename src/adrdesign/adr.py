@@ -150,13 +150,18 @@ def acceptance_angle(fov: float, n_tier: int) -> float:
     """
     if n_tier < 0 or int(n_tier) != n_tier:
         raise ValueError(f"n_tier must be a non-negative integer, got {n_tier}")
-    if not (fov > 0 and fov_valid(n_tier, fov)):
+    if not fov_valid(n_tier, fov):
         raise ValueError(
             f"FOV {math.degrees(fov):.3f} deg outside (0, {math.degrees(fov_cap(n_tier)):.4g}] "
             f"deg for {n_tier} tier(s): the half-angle FOV is capped at 90 deg and each "
             f"acceptance angle at 30 deg; add tiers or reduce FOV"
         )
-    return fov / (2 * int(n_tier) + 1)
+    return _theta(int(n_tier), fov)
+
+
+def _theta(n_tier, fov):
+    """theta = FOV / (2*n_tier + 1): the central cone plus two per tier. Array-capable."""
+    return fov / (2 * n_tier + 1)
 
 
 def fov_cap(n_tier):
@@ -165,8 +170,8 @@ def fov_cap(n_tier):
 
 
 def fov_valid(n_tier, fov):
-    """Whether each FOV lies within fov_cap(n_tier), up to CAP_SLACK. Array-capable."""
-    return np.asarray(fov) <= fov_cap(n_tier) * CAP_SLACK
+    """Whether each FOV lies in (0, fov_cap(n_tier)], up to CAP_SLACK (NaN: no). Array-capable."""
+    return (np.asarray(fov) > 0) & (fov <= fov_cap(n_tier) * CAP_SLACK)
 
 
 def pd_bandwidth_full(phys: PdPhysical, area: float) -> float:

@@ -115,12 +115,8 @@ def spot_radius(ctx: LinkContext) -> float:
 
 
 def _received_power_raw(cfg: AdrConfig, beam: PropagatedBeam, link: LinkParams, b, fov):
-    """FF times the beam power inside the central element's entrance aperture.
-
-    Array-capable, no validation; theta = fov / (2 n_tier + 1).
-    """
-    theta = np.asarray(fov, dtype=float) / (2 * cfg.n_tier + 1)
-    d1 = adr._entrance_diameter(cfg, b, theta)
+    """FF P_t inside the central element's entrance aperture; array-capable, unvalidated."""
+    d1 = adr._entrance_diameter(cfg, b, adr._theta(cfg.n_tier, np.asarray(fov, dtype=float)))
     # FF * P_t first: near saturation the fraction is 1 - 1 ulp, and P_t times
     # it alone can round that ulp away, tying the rates of neighbouring FOVs.
     collected = cfg.fill_factor * beam.power
@@ -140,7 +136,7 @@ def received_power(cfg: AdrConfig, bandwidth: float, fov: float,
 
 
 def noise_psd(nm: NoiseModel, n_pd: int, received: float = 0.0,
-              responsivity: float = 0.6):
+              responsivity: float = LinkParams.responsivity):
     """Total noise PSD [A^2/Hz] referred to one PD-TIA chain times the array.
 
     thermal_only: N0 = 4 kT / R_L * F_n * N_PD

@@ -115,10 +115,10 @@ class RateGradients:
 _DIMENSIONS = {"height": (adr._height_coeff, 1), "area": (adr._area_coeff, 2)}
 
 
-def _boundary(cfg: AdrConfig, which: str, theta, bound: float):
-    """B at which the dimension equals its bound, as a function of theta (array-capable)."""
+def _boundary(cfg: AdrConfig, which: str, fov, bound: float):
+    """B at which the dimension equals its bound, as a function of FOV (array-capable)."""
     coeff, power = _DIMENSIONS[which]
-    return (coeff(cfg, theta) / bound) ** (1.0 / power)
+    return (coeff(cfg, adr._theta(cfg.n_tier, fov)) / bound) ** (1.0 / power)
 
 
 def dimension_boundary(cfg: AdrConfig, which: str, fov: float, bound: float) -> float:
@@ -130,8 +130,8 @@ def dimension_boundary(cfg: AdrConfig, which: str, fov: float, bound: float) -> 
     if which not in _DIMENSIONS:
         raise ValueError(f"which must be 'height' or 'area', got {which!r}")
     require_positive("bound", bound)
-    theta = adr.acceptance_angle(fov, cfg.n_tier)
-    return float(_boundary(cfg, which, theta, bound))
+    adr.acceptance_angle(fov, cfg.n_tier)
+    return float(_boundary(cfg, which, fov, bound))
 
 
 # Geometric FOV table that brackets each inverse, fine enough that log-log
@@ -153,11 +153,10 @@ def _invert_boundary_grid(cfg: AdrConfig, which: str, b, bound: float) -> np.nda
     secant steps on log coeff against log FOV, clipped to the bracket.
     """
     coeff, power = _DIMENSIONS[which]
-    divisor = 2 * cfg.n_tier + 1
     b = np.atleast_1d(np.asarray(b, dtype=float))
     target = bound * b**power
     fov_tab = np.geomspace(_FOV_FLOOR, fov_cap(cfg.n_tier), _TABLE_POINTS)
-    coeff_tab = coeff(cfg, fov_tab / divisor)
+    coeff_tab = coeff(cfg, adr._theta(cfg.n_tier, fov_tab))
     below_image = coeff_tab[-1] > target
     x_tab, g_tab = np.log(fov_tab), np.log(coeff_tab)  # g_tab strictly decreasing
     log_target = np.log(target)
@@ -169,7 +168,7 @@ def _invert_boundary_grid(cfg: AdrConfig, which: str, b, bound: float) -> np.nda
     slope = (g_tab[j] - g_tab[j - 1]) / (x_hi - x_lo)
     for _ in range(1 + _SECANT_STEPS):
         x_new = np.clip(x - r / slope, x_lo, x_hi)
-        r_new = np.log(coeff(cfg, np.exp(x_new) / divisor) / target)
+        r_new = np.log(coeff(cfg, adr._theta(cfg.n_tier, np.exp(x_new))) / target)
         dx, dr = x_new - x, r_new - r
         descending = dx * dr < 0  # a usable secant: the residual falls as x rises
         slope = np.where(descending, dr / np.where(descending, dx, 1.0), slope)
@@ -246,13 +245,13 @@ def _infeasible_diagnostic(cfg: AdrConfig, cs: ConstraintSet, opts: SolverOption
         if bound is None:
             continue
         with np.errstate(over="ignore"):  # a tiny fov_min needs B = inf
-            b_needed = float(_boundary(cfg, which, cs.fov_min / (2 * cfg.n_tier + 1), bound))
+            b_needed = float(_boundary(cfg, which, cs.fov_min, bound))
         if b_needed > opts.b_max:
             parts.append(
                 f"{which} bound {bound:g} needs B >= {b_needed / 1e9:.3g} GHz at "
                 f"fov_min, above the search range"
             )
-        b_floor = float(_boundary(cfg, which, cap / (2 * cfg.n_tier + 1), bound))
+        b_floor = float(_boundary(cfg, which, cap, bound))
         if b_floor > opts.b_max:
             parts.append(
                 f"{which} bound {bound:g} is unreachable below "
@@ -297,7 +296,7 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
         caps binds; inf, far above b_max, where a tiny FOV overflows the coefficients."""
         rcv = receivers(owner)
         with np.errstate(over="ignore"):
-            each = [_boundary(rcv, which, fov / (2 * rcv.n_tier + 1), bound[owner])
+            each = [_boundary(rcv, which, fov, bound[owner])
                     for which, bound in bounds] or [np.zeros(fov.shape)]
         return np.maximum(each[0], each[-1]), each[-1] > each[0]
 

@@ -264,8 +264,11 @@ def _metadata(op: str, cfg: AdrConfig, ctx: LinkContext, quantity: str,
 
 
 def _fov_row(axes: tuple) -> np.ndarray:
-    """The FOV axis in radians, shaped to broadcast against B down the rows."""
-    return np.radians(axes[1].values())[None, :]
+    """The FOV axis in radians, shaped to broadcast against B down the rows; none below 0."""
+    fov = axes[1]
+    if min(fov.start, fov.stop) < 0:
+        raise ValueError(f"FOV axis {fov.name!r} goes below 0: {fov.start} to {fov.stop}")
+    return np.radians(fov.values())[None, :]
 
 
 def _grid_arrays(cfg: AdrConfig, ctx: LinkContext, quantity: str,
@@ -273,7 +276,7 @@ def _grid_arrays(cfg: AdrConfig, ctx: LinkContext, quantity: str,
     """(values at every cell, FOV within the cap) of rate, height or area on the (B, FOV) grid."""
     b = axes[0].values()[:, None]
     fov = _fov_row(axes)
-    theta = fov / (2 * cfg.n_tier + 1)
+    theta = adr_mod._theta(cfg.n_tier, fov)
     with np.errstate(all="ignore"):
         if quantity == "rate":
             vals = _rate_raw(cfg, ctx, b, fov)

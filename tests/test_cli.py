@@ -453,6 +453,14 @@ def test_sweep_command_without_valid_cells_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_command_with_a_negative_fov_axis_writes_nothing(tmp_path, capsys):
+    rc = main(["sweep", "rate", "--fov-lo=-5deg", "--nb", "4", "--nfov", "4",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "FOV axis 'fov' goes below 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_calibrate_command(tmp_path, capsys):
     rc = main(["calibrate", "--out", str(tmp_path)])
     assert rc == 0

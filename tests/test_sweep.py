@@ -23,8 +23,9 @@ from adrdesign import (
     rmax_surface,
     rmax_vs_fovmin,
 )
-from adrdesign import cli, optimizer, sweep
-from adrdesign.adr import DEFAULT_K_PD, PdPhysical, k_pd_from_physical
+from adrdesign import adr, cli, optimizer, sweep
+from adrdesign.adr import (DEFAULT_K_PD, PRESETS, PdPhysical, acceptance_angle, fov_cap,
+                           fov_valid, k_pd_from_physical)
 from adrdesign.link import _rate_raw
 from adrdesign.sweep import MASK_LABELS, FovSweepTable, Grid2D, RegionMask
 
@@ -80,6 +81,65 @@ def test_grid_sweep_shapes_and_validity(ctx10):
     fov_deg = axes[1].values()
     assert np.isnan(grid0.values[:, fov_deg > 30.0 + 1e-9]).all()
     assert np.isfinite(grid0.values[:, fov_deg <= 30.0]).all()
+
+
+FOV_MODEL_RECEIVERS = {**{name: preset(name) for name in sorted(PRESETS)},
+                       "tier0": AdrConfig(n_tier=0, n_pd=4)}
+
+
+@pytest.mark.parametrize("name", sorted(FOV_MODEL_RECEIVERS))
+def test_scalar_api_grids_and_boundaries_share_one_fov_model(ctx10, name):
+    cfg = FOV_MODEL_RECEIVERS[name]
+    cap_deg = math.degrees(fov_cap(cfg.n_tier))
+    # in degrees, as a grid axis holds them: 0, 1e-9 rad, interior, cap, just past the
+    # cap but inside its slack, below 0, NaN
+    degs = [0.0, math.degrees(1e-9), cap_deg / 2, cap_deg, cap_deg * (1 + 1e-13), -0.1, math.nan]
+    fovs = np.radians(degs)
+    valid = fov_valid(cfg.n_tier, fovs)
+    assert valid.tolist() == [False, True, True, True, True, False, False]
+    for fov, ok in zip(fovs.tolist(), valid):
+        if not ok:
+            with pytest.raises(ValueError, match="outside"):
+                acceptance_angle(fov, cfg.n_tier)
+            for which in ("height", "area"):
+                with pytest.raises(ValueError, match="outside"):
+                    optimizer.dimension_boundary(cfg, which, fov, 0.01)
+            continue
+        assert acceptance_angle(fov, cfg.n_tier) == adr._theta(cfg.n_tier, fov)
+        for which, bound in (("height", 0.01), ("area", 1e-4)):
+            raw = float(optimizer._boundary(cfg, which, fov, bound))
+            assert raw.hex() == optimizer.dimension_boundary(cfg, which, fov, bound).hex()
+            geo = adr.geometry(cfg, raw, fov)  # at that B the dimension meets its bound
+            assert (geo.height if which == "height" else geo.top_area) == pytest.approx(
+                bound, rel=1e-12)
+    # an axis holds neither a negative FOV nor NaN: each other point is one two-cell column
+    for deg, ok in zip(degs[:5], valid):
+        axes = (Axis("b", "Hz", 1e9, 4e9, 3, "log"), Axis("fov", "deg", deg, deg, 2))
+        for quantity in ("rate", "height", "area"):
+            values = grid_sweep(cfg, ctx10, quantity, axes).values
+            assert np.isnan(values).all() if not ok else np.isfinite(values).all()
+
+
+GRID_BUILDERS = {
+    "grid_sweep_rate": lambda ctx, axes: grid_sweep(preset("config1"), ctx, "rate", axes),
+    "grid_sweep_height": lambda ctx, axes: grid_sweep(preset("config1"), ctx, "height", axes),
+    "grid_sweep_area": lambda ctx, axes: grid_sweep(preset("config1"), ctx, "area", axes),
+    "design_space": lambda ctx, axes: design_space(preset("config1"), ctx, 1e9, FOV30 / 3,
+                                                   axes),
+    "feasible_region": lambda ctx, axes: feasible_region(
+        preset("config1"), ctx, ConstraintSet(FOV30 / 3, 0.02, 4e-4), axes),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(GRID_BUILDERS))
+def test_grid_builders_reject_a_fov_axis_below_zero(ctx10, builder):
+    # such an axis gave heights and areas at negative FOVs as valid cells, a
+    # rate grid raised about the aperture radius, and the masks used those heights
+    b_axis = Axis("b", "Hz", 1e9, 4e9, 3, "log")
+    for start, stop in ((-20.0, 30.0), (30.0, -1e-9)):
+        with pytest.raises(ValueError, match="FOV axis 'fov' goes below 0"):
+            GRID_BUILDERS[builder](ctx10, (b_axis, Axis("fov", "deg", start, stop, 6)))
+    GRID_BUILDERS[builder](ctx10, (b_axis, Axis("fov", "deg", 0.0, 30.0, 6)))
 
 
 def test_grid_sweep_rejects_unknown_quantity(ctx10):
