@@ -272,6 +272,10 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
     or holds no feasible point; one across a corner of the curve (where the
     binding cap changes or B_lo leaves the range) goes on to float
     resolution, since there the rate error is first order in its width.
+    A piece whose best first-pass point is an end (exact: t = 0 gives lo, and
+    hi is set) stops there when its neighbour cell is smooth and the inner
+    point beside that end is feasible and no higher: the zoom would only
+    come back to the same end.
     """
     fov_min = np.atleast_1d(np.asarray(fov_min, dtype=float))
     if fov_min.size:  # ConstraintSet checks each field on its own: its extremes check all sets
@@ -307,11 +311,12 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
     best = np.full((3, 2 * k), -np.inf)  # rate, B, FOV of each piece
     valid = fov_valid(n_tier, fov_min)
     rows = np.flatnonzero(np.concatenate([valid & (seg_lo <= opts.b_max), valid & bool(bounds)]))
-    t = np.linspace(0.0, 1.0, n)
+    # pass 1 adds an inner point just inside each end, at t = 1e-7 and 1 - 1e-7 (columns n, n + 1)
+    t = np.append(np.linspace(0.0, 1.0, n), [1e-7, 1.0 - 1e-7])
     while rows.size:
         # geometric grids from lo to hi, clipped so that brackets only shrink
         x = np.minimum(lo[rows, None] * (hi[rows, None] / lo[rows, None]) ** t, hi[rows, None])
-        x[:, -1] = hi[rows]
+        x[:, n - 1] = hi[rows]
         owner, curve = rows % k, rows >= k
         b, fov = x.copy(), np.where(curve[:, None], x, fov_min[owner, None])
         binding = np.zeros(x.shape, dtype=bool)
@@ -319,12 +324,13 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
         feasible = (b >= opts.b_min) & (b <= opts.b_max)
         # the kernel runs on whole rows, each infeasible point replaced by its row's first
         # feasible one, so it sees only points of the search; rows without one are skipped
-        live, m, first = feasible.any(axis=1), np.arange(rows.size), np.argmax(feasible, axis=1)
+        grid = feasible[:, :n]
+        live, m, first = grid.any(axis=1), np.arange(rows.size), np.argmax(grid, axis=1)
         b_at, fov_at = (np.where(feasible, v, v[m, first, None])[live] for v in (b, fov))
         rates = np.full(x.shape, -np.inf)
         rates[live] = np.where(feasible[live],
                                _rate_raw(receivers(owner[live]), ctx, b_at, fov_at), -np.inf)
-        i = np.argmax(rates, axis=1)
+        i = np.argmax(rates[:, :n], axis=1)
         better = rates[m, i] > best[0, rows]
         best[:, rows[better]] = np.stack([rates[m, i], b[m, i], fov[m, i]])[:, better]
         j, jj = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
@@ -333,6 +339,11 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
         done = (~live
                 | (smooth & (np.ptp(b_ends, axis=0) <= opts.b_rel_tol * b_ends.max(axis=0)))
                 | (x[m, jj] - x[m, j] >= hi[rows] - lo[rows]))
+        if t.size > n:  # an end certified by its inner point is what the zoom would return
+            inner = np.where(i == 0, n, n + 1)
+            done |= ((i == 0) | (i == n - 1)) & smooth & feasible[m, inner] & (
+                rates[m, inner] <= rates[m, i])
+            t = t[:n]
         lo[rows], hi[rows] = x[m, j], x[m, jj]
         rows = rows[~done]
     out = np.where(best[0, k:] > best[0, :k], best[:, k:], best[:, :k])

@@ -139,10 +139,11 @@ def _check_shape(field: str, cells: np.ndarray, axes: tuple) -> None:
 class Grid2D:
     """Row-major 2-D grid of one evaluated quantity plus its provenance.
 
-    values is made read-only, so the cell text below cannot go stale. The
-    first of to_csv / to_json formats every cell and leaves the joined text
-    on the grid; the next one takes it and drops it, so a CSV+JSON pair
-    formats each float once and the grid does not keep the text.
+    values is made read-only, so the cell text below cannot go stale.
+    to_csv formats every cell and leaves the joined text on the grid, and
+    to_json takes and drops it, so a CSV+JSON pair formats each float once
+    and the grid does not keep the text. to_json never leaves text: a grid
+    written only as JSON keeps none, and a to_csv after it keeps none either.
     """
 
     axes: tuple  # (Axis, Axis); values.shape == (axes[0].count, axes[1].count)
@@ -157,7 +158,7 @@ class Grid2D:
         text = self.__dict__.pop("_cells", None)
         if text is None:
             text = repr(self.values.ravel().tolist())[1:-1].replace(", ", ",")  # see _reprs
-            object.__setattr__(self, "_cells", text)
+            object.__setattr__(self, "_json_written", True)  # no later to_csv keeps text for it
         head = _json({"axes": [asdict(a) for a in self.axes], "metadata": self.metadata})
         # "values" sorts last; json.dumps wrote NaN cells (as None) as null, inf as Infinity
         cells = text.replace("nan", "null").replace("inf", "Infinity")
@@ -165,9 +166,10 @@ class Grid2D:
 
     def to_csv(self) -> str:
         text = self.__dict__.pop("_cells", None)
+        json_written = self.__dict__.pop("_json_written", False)
         cells = _reprs(self.values.ravel().tolist()) if text is None else text.split(",")
         csv = _grid_csv(self.axes, self.metadata.get("quantity", "value"), cells)
-        if text is None:  # joined once the CSV is built: no addition to to_csv's peak memory
+        if text is None and not json_written:  # joined after the CSV: no rise in its peak memory
             object.__setattr__(self, "_cells", ",".join(cells))
         return csv
 

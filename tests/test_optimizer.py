@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from adrdesign import (
     preset,
     unified_boundary,
 )
-from adrdesign.adr import PRESETS, AdrConfig, fov_cap
+from adrdesign.adr import PRESETS, AdrConfig, fov_cap, fov_valid
 from adrdesign.link import _rate_raw
 from adrdesign.optimizer import _invert_boundary_grid, _unified_grid
 
@@ -536,9 +537,9 @@ def test_tiny_fov_min_solves_without_float_warnings(ctx10):
     assert np.isnan(rates[0]) and rates[1] == pytest.approx(ref.rate_star, rel=1e-9)
 
 
-# Receivers of the mixed batches: every preset plus a tier-0 2x2 array, whose
-# 30 deg FOV cap sits below the others' 90 deg.
-_RECEIVERS = [*PRESETS.values(), AdrConfig(n_tier=0, n_pd=4)]
+# Receivers of the mixed batches: every preset plus tier-0 arrays of 1, 4 and 16
+# PDs, whose 30 deg FOV cap sits below the others' 90 deg.
+_RECEIVERS = [*PRESETS.values(), *(AdrConfig(n_tier=0, n_pd=n) for n in (1, 4, 16))]
 # (l_max, a_max) of a capped set: the MCD and SCD regimes and an l_max no receiver reaches
 _REGIMES = {"MCD": (0.02, 4e-4), "SCD": (0.005, 0.5e-4), "tiny l_max": (1e-6, 4e-4)}
 
@@ -548,10 +549,12 @@ def _mixed_batches(draw):
     """A mixed batch of constraint sets, one receiver each, under one link context.
 
     The sets share which caps exist (_solve takes K caps or none of a kind), so a
-    batch is either all NCD or all capped. fov_min = 1e-200 rows come only with caps:
-    an uncapped segment at that FOV overflows the rate kernel on either path.
+    batch is all NCD, all height-capped, all area-capped or all capped by both.
+    fov_min = 1e-200 rows come only with caps: an uncapped segment at that FOV
+    overflows the rate kernel on either path.
     """
-    capped = draw(st.booleans())
+    kinds = draw(st.sampled_from([(), ("height",), ("area",), ("height", "area")]))
+    capped = bool(kinds)
     k = draw(st.integers(2, 9))
     cfgs, fov_min, l_max, a_max = [], [], [], []
     for _ in range(k):
@@ -567,9 +570,11 @@ def _mixed_batches(draw):
             l_max.append(caps[0])
             a_max.append(caps[1])
     noise = draw(st.sampled_from([{}, {("noise", "mode"): "full", ("noise", "rin_per_hz"): 1e-13}]))
-    ctx = load_config(None, {("beam", "pt_mw"): 16.0, **noise}).context()
-    opts = SolverOptions(grid_points=draw(st.sampled_from([64, 400])))
-    caps = [np.array(v) if capped else None for v in (l_max, a_max)]
+    pt_mw = draw(st.sampled_from([10.0, 16.0]))
+    ctx = load_config(None, {("beam", "pt_mw"): pt_mw, **noise}).context()
+    opts = SolverOptions(grid_points=draw(st.sampled_from([64, 400, 2000])))
+    caps = [np.array(v) if kind in kinds else None
+            for kind, v in (("height", l_max), ("area", a_max))]
     return cfgs, ctx, np.array(fov_min), *caps, opts
 
 
@@ -589,6 +594,123 @@ def test_mixed_receiver_batch_equals_one_receiver_per_call(batch):
         looped[:, own] = optimizer._solve(cfg, ctx, fov_min[own], *caps, opts)
     for got, want in zip(batched, looped):
         assert got.tobytes() == want.tobytes()
+
+
+def _zoom_oracle(cfg, ctx, fov_min, l_max, a_max, opts):
+    """optimizer._solve before pass 1 certified end optima, its body copied
+    unchanged: every piece zooms until one of its stop rules ends it."""
+    fov_min = np.atleast_1d(np.asarray(fov_min, dtype=float))
+    if fov_min.size:  # ConstraintSet checks each field on its own: its extremes check all sets
+        for extreme in (np.min, np.max):
+            ConstraintSet(*(None if v is None else float(extreme(v))
+                            for v in (fov_min, l_max, a_max)))
+    k, n = fov_min.size, opts.grid_points
+    if isinstance(cfg, AdrConfig):  # one receiver: its constants stay scalars
+        receivers = lambda owner: cfg
+    elif len(cfg) == k:  # one per set: what the kernels read, as columns taken per row
+        cols = {name: np.array([getattr(c, name) for c in cfg], dtype=float)[:, None] for name
+                in ("k_pd", "n_pd", "fill_factor", "n_cpc", "tau", "gain_retention", "n_tier")}
+        receivers = lambda owner: SimpleNamespace(**{c: col[owner] for c, col in cols.items()})
+    else:
+        raise ValueError(f"{len(cfg)} receivers for {k} constraint sets")
+    n_tier = np.ravel(receivers(np.arange(k)).n_tier)  # of each set, or one for all
+    bounds = [(which, np.broadcast_to(np.asarray(bound, dtype=float), (k,))[:, None])
+              for which, bound in (("height", l_max), ("area", a_max)) if bound is not None]
+
+    def b_lo(fov, owner):
+        """max(B_h, B_a) at each row of FOVs (0 without caps), and whether the second of two
+        caps binds; inf, far above b_max, where a tiny FOV overflows the coefficients."""
+        rcv = receivers(owner)
+        with np.errstate(over="ignore"):
+            each = [optimizer._boundary(rcv, which, fov, bound[owner])
+                    for which, bound in bounds] or [np.zeros(fov.shape)]
+        return np.maximum(each[0], each[-1]), each[-1] > each[0]
+
+    # rows 0..k-1 are the segments, rows k..2k-1 the curves of the same sets
+    seg_lo = np.maximum(opts.b_min, b_lo(fov_min[:, None], np.arange(k))[0][:, 0])
+    lo = np.concatenate([seg_lo, fov_min])
+    hi = np.concatenate([np.full(k, opts.b_max), np.maximum(fov_min, fov_cap(n_tier))])
+    best = np.full((3, 2 * k), -np.inf)  # rate, B, FOV of each piece
+    valid = fov_valid(n_tier, fov_min)
+    rows = np.flatnonzero(np.concatenate([valid & (seg_lo <= opts.b_max), valid & bool(bounds)]))
+    t = np.linspace(0.0, 1.0, n)
+    while rows.size:
+        # geometric grids from lo to hi, clipped so that brackets only shrink
+        x = np.minimum(lo[rows, None] * (hi[rows, None] / lo[rows, None]) ** t, hi[rows, None])
+        x[:, -1] = hi[rows]
+        owner, curve = rows % k, rows >= k
+        b, fov = x.copy(), np.where(curve[:, None], x, fov_min[owner, None])
+        binding = np.zeros(x.shape, dtype=bool)
+        b[curve], binding[curve] = b_lo(x[curve], owner[curve])
+        feasible = (b >= opts.b_min) & (b <= opts.b_max)
+        # the kernel runs on whole rows, each infeasible point replaced by its row's first
+        # feasible one, so it sees only points of the search; rows without one are skipped
+        live, m, first = feasible.any(axis=1), np.arange(rows.size), np.argmax(feasible, axis=1)
+        b_at, fov_at = (np.where(feasible, v, v[m, first, None])[live] for v in (b, fov))
+        rates = np.full(x.shape, -np.inf)
+        rates[live] = np.where(feasible[live],
+                               _rate_raw(receivers(owner[live]), ctx, b_at, fov_at), -np.inf)
+        i = np.argmax(rates, axis=1)
+        better = rates[m, i] > best[0, rows]
+        best[:, rows[better]] = np.stack([rates[m, i], b[m, i], fov[m, i]])[:, better]
+        j, jj = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
+        smooth = feasible[m, j] & feasible[m, jj] & (binding[m, j] == binding[m, jj])
+        b_ends = np.where(smooth, np.stack([b[m, j], b[m, jj]]), 0.0)  # read only if smooth
+        done = (~live
+                | (smooth & (np.ptp(b_ends, axis=0) <= opts.b_rel_tol * b_ends.max(axis=0)))
+                | (x[m, jj] - x[m, j] >= hi[rows] - lo[rows]))
+        lo[rows], hi[rows] = x[m, j], x[m, jj]
+        rows = rows[~done]
+    out = np.where(best[0, k:] > best[0, :k], best[:, k:], best[:, :k])
+    return tuple(np.where(out[0] > -np.inf, out, np.nan))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mixed_batches(), st.booleans())
+def test_search_equals_the_zoom_oracle(batch, one_receiver):
+    # a piece that pass 1 ends at a certified end gives, bit for bit, what the
+    # zoom would have: one receiver for the whole batch, or one per set
+    cfgs, ctx, fov_min, l_max, a_max, opts = batch
+    cfg = cfgs[0] if one_receiver else cfgs
+    got = optimizer._solve(cfg, ctx, fov_min, l_max, a_max, opts)
+    want = _zoom_oracle(cfg, ctx, fov_min, l_max, a_max, opts)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_search_is_within_1e_12_of_a_fine_solve():
+    # one fixed batch over every receiver, truncated or not, with both caps, one
+    # (the other set far above anything reached) or none, against a 20000-point
+    # grid zoomed to 1e-9: no set may fall more than 1e-12 below it
+    rng = np.random.default_rng(18)
+    cfgs = [replace(cfg, truncation=trunc) for cfg in _RECEIVERS for trunc in (None, TRUNC)] * 3
+    k = len(cfgs)
+    fov_min = np.radians(rng.uniform(1.0, 89.0, k))
+    l_max = np.where(rng.random(k) < 0.7, 10 ** rng.uniform(-3.5, -1.3, k), 1.0)
+    a_max = np.where(rng.random(k) < 0.7, 10 ** rng.uniform(-6.5, -3.0, k), 1.0)
+    ctx = _noise_contexts()[(16.0, "full")]
+    got = optimizer._solve(cfgs, ctx, fov_min, l_max, a_max, SolverOptions(grid_points=400))[0]
+    fine = optimizer._solve(cfgs, ctx, fov_min, l_max, a_max,
+                            SolverOptions(grid_points=20000, b_rel_tol=1e-9))[0]
+    assert k <= 60 and np.array_equal(np.isnan(got), np.isnan(fine))
+    assert 0 < np.isnan(got).sum() < k / 2
+    on = ~np.isnan(got)
+    assert np.all(got[on] >= fine[on] * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("l_max, b_star, rate_star", [
+    (None, 19.870391914921116e9, 141.69655012839578e9),
+    (0.38441923852029575, 19.87039338550977e9, 141.69655012839587e9),
+], ids=["b_max end", "fov_min end"])
+def test_an_end_beaten_inside_its_cell_is_zoomed(ctx16, l_max, b_star, rate_star):
+    # the segment's best grid point is an end (b_max, or B_h(fov_min) = 19.8703 GHz
+    # under the height cap), but the optimum lies inside that end's cell: the inner
+    # point beside the end is higher, so pass 1 must not stop there
+    rate, b, fov = optimizer._solve(AdrConfig(n_tier=2, n_pd=16), ctx16,
+                                    math.radians(5.026307536262998), l_max, None,
+                                    SolverOptions(grid_points=400))
+    assert b[0] == b_star and rate[0] == rate_star
 
 
 def test_mixed_receiver_batch_needs_one_receiver_per_set(ctx10):

@@ -627,6 +627,13 @@ def test_grid_keeps_no_cell_text_after_a_csv_json_pair(rng, order):
     assert set(vars(grid)) == {"axes", "values", "metadata"}
 
 
+def test_a_lone_to_json_keeps_no_cell_text(rng):
+    # a grid written only as JSON keeps none of the text it formatted
+    grid = _special_grid(rng, {})
+    assert grid.to_json() == _oracle_grid_to_json(grid)
+    assert "_cells" not in vars(grid)
+
+
 def test_sweep_command_writes_the_oracle_bytes(ctx10, tmp_path):
     assert cli.main(["sweep", "rate", "--preset", "config2", "--nb", "13", "--nfov", "11",
                      "--out", str(tmp_path)]) == 0
