@@ -25,7 +25,7 @@ import numpy as np
 from . import adr, calibrate as calibrate_mod, sweep as sweep_mod
 from .config import ConfigError, load_config, parse_quantity
 from .link import NoiseModel, link_budget
-from .optimizer import ConstraintSet, maximize_rate_constrained
+from .optimizer import ConstraintSet, SolverOptions, maximize_rate_constrained
 from .sweep import default_axes
 
 __all__ = ["main"]
@@ -136,11 +136,27 @@ def _print_optimum(label: str, res) -> None:
           f"active: {', '.join(sorted(res.active_constraints)) or 'none'}")
 
 
-def _trace_csv(trace) -> str:
-    """Boundary trace rows (B [Hz], FOV [rad], rate [b/s]) as CSV, FOV in degrees."""
+@functools.lru_cache(maxsize=4)
+def _b_grid(b_min: float, b_max: float, grid_points: int) -> tuple:
+    """The solver's bandwidth grid, read-only, and the repr of each of its values."""
+    b = np.geomspace(b_min, b_max, grid_points)
+    b.flags.writeable = False
+    return b, tuple(sweep_mod._reprs(b.tolist()))
+
+
+def _trace_csv(trace, opts: SolverOptions) -> str:
+    """Boundary trace rows (B [Hz], FOV [rad], rate [b/s]) as CSV, FOV in degrees. A B column
+    that is a tail of the solver grid takes its strings; a FOV is formatted once per run."""
     b, fov, rate = trace.T
-    return sweep_mod._csv("b_hz,fov_deg,rate_bps", *(
-        sweep_mod._reprs(column.tolist()) for column in (b, np.degrees(fov), rate)))
+    grid, grid_text = _b_grid(opts.b_min, opts.b_max, opts.grid_points)
+    start = grid.size - b.size  # a longer column meets a shorter slice, never equal to it
+    b_col = grid_text[start:] if np.array_equal(b, grid[start:]) else sweep_mod._reprs(b.tolist())
+    bits = np.degrees(fov).view(np.uint64)
+    # FOV falls with B, so equal bit patterns are adjacent; a sort would page in numpy's kernels
+    first = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))
+    fov_col = np.repeat(np.array(sweep_mod._reprs(bits[first].view(float).tolist()), dtype=object),
+                        np.diff(first, append=bits.size)).tolist()
+    return sweep_mod._csv("b_hz,fov_deg,rate_bps", b_col, fov_col, sweep_mod._reprs(rate.tolist()))
 
 
 def _cmd_optimize(args) -> int:
@@ -148,13 +164,15 @@ def _cmd_optimize(args) -> int:
     cfg = run.adr_config()
     ctx = run.context()
     cs = _constraints(args, run)
-    res = maximize_rate_constrained(cfg, ctx, cs, run.solver_options())
+    opts = run.solver_options()
+    res = maximize_rate_constrained(cfg, ctx, cs, opts)
     _print_optimum("optimum", res)
     doc = {"optimum": _optimum_doc(res), "constraints": {
         "fov_min_deg": math.degrees(cs.fov_min), "l_max_m": cs.l_max, "a_max_m2": cs.a_max,
     }, "config": run.effective_dict()}
     path = _write(outdir, "optimize_summary.json", sweep_mod._json(doc))
-    trace_path = _write(outdir, "optimize_boundary_trace.csv", _trace_csv(res.boundary_trace))
+    trace_path = _write(outdir, "optimize_boundary_trace.csv",
+                        _trace_csv(res.boundary_trace, opts))
     print(f"summary written to {path}")
     print(f"boundary trace written to {trace_path}")
     return 0

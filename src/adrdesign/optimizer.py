@@ -201,13 +201,18 @@ def invert_dimension_boundary(cfg: AdrConfig, which: str, bandwidth: float,
 
 
 def _unified_grid(cfg: AdrConfig, cs: ConstraintSet, b) -> np.ndarray:
-    """f_fov over an array of bandwidths; +inf marks infeasible bandwidths."""
+    """f_fov over positive bandwidths (+inf: infeasible). Only those in [B_lo(cap), B_lo(fov_min)),
+    widened by 1e-9, are inverted: +inf below, fov_min above when fov_min clears the 1e-9 floor."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    out = np.full(b.shape, cs.fov_min)
-    if cs.l_max is not None:
-        out = np.maximum(out, _invert_boundary_grid(cfg, "height", b, cs.l_max))
-    if cs.a_max is not None:
-        out = np.maximum(out, _invert_boundary_grid(cfg, "area", b, cs.a_max))
+    caps = [(w, v) for w, v in (("height", cs.l_max), ("area", cs.a_max)) if v is not None]
+    with np.errstate(over="ignore"):  # a tiny fov_min needs B = inf
+        lo, hi = (max((_boundary(cfg, w, fov, v) for w, v in caps), default=0.0)
+                  for fov in (fov_cap(cfg.n_tier), cs.fov_min))
+    below = b < lo * (1 - 1e-9)
+    on = ~below & ~((b >= hi * (1 + 1e-9)) & (cs.fov_min > _FOV_FLOOR * (1 + 1e-9)))
+    out = np.where(below, np.inf, cs.fov_min)
+    for which, bound in caps:
+        out[on] = np.maximum(out[on], _invert_boundary_grid(cfg, which, b[on], bound))
     return np.where(fov_valid(cfg.n_tier, out), out, np.inf)
 
 

@@ -53,6 +53,7 @@ SCENARIOS = {
 
 @dataclass(frozen=True)
 class Axis:
+    __slots__ = ("__dict__", "_points")  # values() keeps its points outside vars() and pickles
     name: str
     unit: str
     start: float
@@ -73,10 +74,16 @@ class Axis:
             elif not math.isfinite(value):
                 raise ValueError(f"{label} must be finite, got {value}")
 
+    def __getstate__(self):
+        return self.__dict__
+
     def values(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
+        """The axis points, computed on the first call and kept; the array is read-only."""
+        if not hasattr(self, "_points"):
+            space = np.geomspace if self.spacing == "log" else np.linspace
+            object.__setattr__(self, "_points", space(self.start, self.stop, self.count))
+            self._points.flags.writeable = False
+        return self._points
 
 
 def default_axes(b_count: int = 200, fov_count: int = 200,

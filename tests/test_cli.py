@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adrdesign.cli import _trace_csv, main
+from adrdesign.cli import _b_grid, _trace_csv, main
 from adrdesign.adr import PRESETS, PdPhysical, k_pd_from_physical, pd_side_from_bandwidth
 from adrdesign.beam import SourceBeam
 from adrdesign.config import ConfigError, load_config, parse_quantity
@@ -329,7 +329,7 @@ def test_boundary_trace_csv_matches_per_row_formatting():
         lines = ["b_hz,fov_deg,rate_bps"]
         for b, fov, rate in rows:
             lines.append(f"{float(b)!r},{math.degrees(fov)!r},{float(rate)!r}")
-        assert _trace_csv(rows) == "\n".join(lines) + "\n"
+        assert _trace_csv(rows, SolverOptions()) == "\n".join(lines) + "\n"
 
 
 def _oracle_trace_csv(trace) -> str:
@@ -350,8 +350,38 @@ def test_boundary_trace_csv_matches_per_row_oracle():
                         rng.uniform(0.0, 3e10, 295)]),
     ])
     for rows in (trace, trace[:0], np.empty((0, 3))):
-        assert _trace_csv(rows) == _oracle_trace_csv(rows)
-    assert _trace_csv(trace[:0]) == "b_hz,fov_deg,rate_bps\n"
+        assert _trace_csv(rows, SolverOptions()) == _oracle_trace_csv(rows)
+    assert _trace_csv(trace[:0], SolverOptions()) == "b_hz,fov_deg,rate_bps\n"
+
+
+def test_boundary_trace_csv_takes_grid_strings_only_for_a_grid_tail():
+    # a B column that is a tail of the solver grid takes the memoised grid strings;
+    # any other column is formatted itself; FOVs repeat, in runs or apart, and -0.0 and
+    # NaN keep their text
+    opts = SolverOptions(grid_points=300)
+    grid = np.geomspace(opts.b_min, opts.b_max, opts.grid_points)
+    rng = np.random.default_rng(5)
+    fovs = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, 1e-300, math.pi / 6, 0.3])
+    nudged = grid[-120:].copy()
+    nudged[7] = np.nextafter(nudged[7], 0.0)
+    columns = {
+        "tail": grid[-120:], "whole grid": grid, "empty": grid[:0],
+        "middle": grid[100:220], "nudged": nudged, "longer": np.append(grid[:1] / 2, grid),
+        "other grid": np.geomspace(opts.b_min, opts.b_max, 2000)[-120:],
+    }
+    _b_grid.cache_clear()
+    for name, b in columns.items():
+        fov = rng.choice(fovs, b.size)
+        rows = np.column_stack([b, fov, rng.uniform(0.0, 3e10, b.size)])
+        assert _trace_csv(rows, opts) == _oracle_trace_csv(rows), name
+    runs = np.column_stack([grid[-120:], np.repeat(fovs, 15), np.ones(120)])
+    assert _trace_csv(runs, opts) == _oracle_trace_csv(runs)
+    info = _b_grid.cache_info()
+    assert (info.misses, info.hits) == (1, len(columns))
+    text = _trace_csv(np.column_stack([grid[-8:], fovs, np.ones(8)]), opts).splitlines()[1:]
+    assert [line.split(",")[1] for line in text] == [
+        "0.0", "-0.0", "nan", "nan", "inf", repr(math.degrees(1e-300)), "29.999999999999996",
+        repr(math.degrees(0.3))]
 
 
 def test_optimize_command_flags_do_not_leak_between_calls(tmp_path):

@@ -255,6 +255,65 @@ def test_unified_infeasible_is_a_value_not_an_error():
     assert unified_boundary(cfg, cs, 1e9) == math.inf
 
 
+def _full_grid_oracle(cfg, cs, b):
+    """optimizer._unified_grid before it inverted only the curve's bandwidths,
+    its body copied unchanged: every bandwidth through both inverses."""
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    out = np.full(b.shape, cs.fov_min)
+    if cs.l_max is not None:
+        out = np.maximum(out, _invert_boundary_grid(cfg, "height", b, cs.l_max))
+    if cs.a_max is not None:
+        out = np.maximum(out, _invert_boundary_grid(cfg, "area", b, cs.a_max))
+    return np.where(fov_valid(cfg.n_tier, out), out, np.inf)
+
+
+@st.composite
+def _boundary_sets(draw):
+    """A receiver, a constraint set and bandwidths: the solver grid, or log-uniform
+    ones plus the window's ends and their neighbours one ulp away."""
+    cfg = draw(st.sampled_from(_RECEIVERS))
+    cfg = replace(cfg, truncation=TRUNC) if draw(st.booleans()) else cfg
+    kinds = draw(st.sampled_from([(), ("height",), ("area",), ("height", "area")]))
+    fov_min = draw(st.one_of(
+        st.floats(1.0, 89.0).map(math.radians),
+        st.floats(30.5, 60.0).map(math.radians),  # above the tier-0 cap
+        st.just(float(fov_cap(cfg.n_tier))),
+        st.floats(1e-15, 2e-9),  # below and at the inverse's 1e-9 FOV floor
+        st.just(1e-200)))
+    # the huge caps put fov_min < 1e-9 on the curve inside the search range
+    l_max = draw(st.one_of(st.floats(-5.0, 1.0).map(lambda e: 10**e), st.just(1e22)))
+    a_max = draw(st.one_of(st.floats(-8.0, -1.0).map(lambda e: 10**e), st.just(1e20)))
+    cs = ConstraintSet(fov_min, l_max if "height" in kinds else None,
+                       a_max if "area" in kinds else None)
+    if draw(st.booleans()):
+        return cfg, cs, np.geomspace(0.1e9, 20e9, draw(st.sampled_from([400, 2000])))
+    b = 10 ** np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(6.0, 13.0, 200)
+    with np.errstate(over="ignore"):
+        ends = [float(optimizer._boundary(cfg, which, fov, bound)) * (1 + side * 1e-9)
+                for which, bound in (("height", cs.l_max), ("area", cs.a_max)) if bound
+                for fov, side in ((fov_cap(cfg.n_tier), -1), (fov_min, 1))]
+    ends = [e for e in ends if 0 < e < math.inf]
+    return cfg, cs, np.concatenate([b, ends, np.nextafter(ends, 0), np.nextafter(ends, math.inf)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_boundary_sets())
+def test_unified_grid_equals_the_full_grid_oracle(case):
+    # inverting only the bandwidths on the curve gives, bit for bit, what inverting
+    # every bandwidth gave; the inverse works element by element, so the one-bandwidth
+    # entry points read the same entries
+    cfg, cs, b = case
+    want = _full_grid_oracle(cfg, cs, b)
+    assert _unified_grid(cfg, cs, b).tobytes() == want.tobytes()
+    i = len(b) // 2
+    assert np.float64(unified_boundary(cfg, cs, float(b[i]))).tobytes() == want[i].tobytes()
+    for which, bound in (("height", cs.l_max), ("area", cs.a_max)):
+        inverse = _invert_boundary_grid(cfg, which, b, bound) if bound else np.full(b.shape, np.inf)
+        if 2 * optimizer._FOV_FLOOR < inverse[i] < math.inf:  # a root, not the floor
+            assert invert_dimension_boundary(cfg, which, float(b[i]), bound) == inverse[i]
+
+
 # ------------------------------------------------------------------ solvers
 
 def test_fov_only_reference_peaks(ctx10):

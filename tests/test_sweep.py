@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 import math
 from dataclasses import asdict, replace
 
@@ -46,6 +47,22 @@ def test_axis_values():
         Axis("b", "Hz", 0.0, 1e9, 10, "log")
     with pytest.raises(ValueError):
         Axis("b", "Hz", 1e8, 1e9, 1)
+
+
+def test_axis_values_are_computed_once_and_read_only():
+    # the points are kept per axis, outside vars(), pickles and copies, and no
+    # caller can write into them
+    for axis in (Axis("b", "Hz", 1e8, 2e10, 100, "log"), Axis("fov", "deg", 1.0, -0.0, 7)):
+        want = (np.geomspace if axis.spacing == "log" else np.linspace)(
+            axis.start, axis.stop, axis.count)
+        points = axis.values()
+        assert points is axis.values() and points.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            points[0] = 0.0
+        assert vars(axis) == asdict(axis)
+        for other in (pickle.loads(pickle.dumps(axis)), copy.deepcopy(axis), replace(axis)):
+            assert other == axis and vars(other) == asdict(axis)
+            assert other.values().tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kwargs,field", [
