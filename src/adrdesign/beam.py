@@ -160,8 +160,8 @@ def beam_radius(beam: PropagatedBeam, z):
 
 def encircled_fraction(beam: PropagatedBeam, z, rho0):
     """Fraction 1 - exp(-2 rho0^2 / w(z)^2) of the power inside a centred aperture."""
-    rho0 = np.asarray(rho0, dtype=float)
-    if np.any(rho0 < 0):
+    rho0 = np.asarray(rho0)
+    if np.any(rho0.real < 0):  # .real: analytic_gradients passes a complex step
         raise ValueError("aperture radius rho0 must be >= 0")
     w = beam_radius(beam, z)
     return 1.0 - np.exp(-2.0 * rho0**2 / np.asarray(w) ** 2)

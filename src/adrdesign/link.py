@@ -116,7 +116,7 @@ def spot_radius(ctx: LinkContext) -> float:
 
 def _received_power_raw(cfg: AdrConfig, beam: PropagatedBeam, link: LinkParams, b, fov):
     """FF P_t inside the central element's entrance aperture; array-capable, unvalidated."""
-    d1 = adr._entrance_diameter(cfg, b, adr._theta(cfg.n_tier, np.asarray(fov, dtype=float)))
+    d1 = adr._entrance_diameter(cfg, b, adr._theta(cfg.n_tier, np.asarray(fov)))
     # FF * P_t first: near saturation the fraction is 1 - 1 ulp, and P_t times
     # it alone can round that ulp away, tying the rates of neighbouring FOVs.
     collected = cfg.fill_factor * beam.power
@@ -147,7 +147,7 @@ def noise_psd(nm: NoiseModel, n_pd: int, received: float = 0.0,
     thermal = 4.0 * BOLTZMANN * nm.temperature / nm.load_resistance * nm.noise_figure * n_pd
     if nm.mode == "thermal_only":
         return thermal
-    photo = responsivity * np.asarray(received, dtype=float)
+    photo = responsivity * np.asarray(received)
     total = thermal + 2.0 * ELEMENTARY_CHARGE * photo
     if nm.rin is not None:
         total = total + nm.rin * photo**2

@@ -8,8 +8,8 @@ the curve B = B_lo(FOV) = max(B_h, B_a)(FOV). The search zooms a grid along
 each piece, batched over many constraint sets, without inverting a
 boundary. The inverse f_fov(B) = max(fov_min, B_h^-1(B), B_a^-1(B)),
 bracketed on a tabulated FOV grid and refined by secant steps, serves the
-boundary trace, feasible-region masks and callers. The analytic partial
-derivatives are provided for verification, not for the search.
+boundary trace, feasible-region masks and callers. The partial derivatives,
+by complex step through the same kernels, serve verification, not the search.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import adr
-from .adr import AdrConfig, fov_cap, fov_valid, require_positive, ring_sum
-from .link import LinkContext, _rate_raw, _received_power_raw, noise_psd, spot_radius
+from .adr import AdrConfig, fov_cap, fov_valid, require_positive
+from .link import LinkContext, _rate_raw
 from .optics import CAP_SLACK
 
 __all__ = [
@@ -102,7 +102,7 @@ class OptimumResult:
 
 @dataclass(frozen=True)
 class RateGradients:
-    """Closed-form partials at an interior design point (all negative)."""
+    """Partials at an interior design point, by complex step through the kernels."""
 
     d_rate_d_fov: float
     d_height_d_fov: float
@@ -182,12 +182,16 @@ def invert_dimension_boundary(cfg: AdrConfig, which: str, bandwidth: float,
 
     Bracketed secant inverse of the strictly decreasing boundary; the
     residual |f(FOV) - B| / B must come out below 1e-10. Raises
-    BoundaryOutOfRange when the bandwidth is below the boundary image.
+    BoundaryOutOfRange when the bandwidth is below the boundary image, and
+    ValueError when it is above the image down to the 1e-9 rad FOV floor.
     """
     if which not in _DIMENSIONS:
         raise ValueError(f"which must be 'height' or 'area', got {which!r}")
     require_positive("bandwidth", bandwidth)
     require_positive("bound", bound)
+    if bandwidth > _boundary(cfg, which, _FOV_FLOOR, bound):
+        raise ValueError(f"at {bandwidth / 1e9:.4g} GHz the {which} stays under its bound "
+                         f"{bound:g} at every FOV down to the {_FOV_FLOOR:g} rad floor")
     fov = float(_invert_boundary_grid(cfg, which, bandwidth, bound)[0])
     if not math.isfinite(fov):
         raise BoundaryOutOfRange(
@@ -381,54 +385,31 @@ def maximize_rate_constrained(cfg: AdrConfig, ctx: LinkContext, cs: ConstraintSe
 
 def analytic_gradients(cfg: AdrConfig, ctx: LinkContext, bandwidth: float,
                        fov: float) -> RateGradients:
-    """Closed-form partial derivatives at an interior design point.
+    """Partial derivatives at an interior design point, by complex step.
 
-    Valid strictly inside the domain (0 < theta < 30 deg) and for the
-    thermal-only noise model, where the noise PSD does not depend on the
-    received power. Every returned value is negative: rate and both
-    dimensions shrink as the FOV widens.
+    Each partial is Im f(FOV + ih) / h through the kernels that the search
+    and the sweeps evaluate (Squire & Trapp, SIAM Rev. 40(1), 1998). No
+    difference is taken, so it is exact to rounding, and no formula is
+    restated here. Valid strictly inside the domain (0 < theta < 30 deg),
+    for either noise model. Rate and both dimensions shrink as the FOV
+    widens, so every value is negative; the rate partial reads 0 where the
+    saturated aperture's term underflows.
     """
-    theta = adr.acceptance_angle(fov, cfg.n_tier)
+    adr.acceptance_angle(fov, cfg.n_tier)
     cap = fov_cap(cfg.n_tier)
     if not (1e-9 < fov < cap / CAP_SLACK):
-        raise ValueError(
-            f"FOV {math.degrees(fov):.3f} deg is not interior to (0, "
-            f"{math.degrees(cap):.1f}) deg"
-        )
+        raise ValueError(f"FOV {math.degrees(fov):.3f} deg is not interior to (0, "
+                         f"{math.degrees(cap):.1f}) deg")
     require_positive("bandwidth", bandwidth)
-    if ctx.noise.mode != "thermal_only":
-        raise ValueError("analytic gradients assume the thermal-only noise model")
-
-    divisor = 2 * cfg.n_tier + 1
-    s, c, t = math.sin(theta), math.cos(theta), math.tan(theta)
-    d2 = adr._exit_diameter(cfg, bandwidth)
-    d1 = float(adr._entrance_diameter(cfg, bandwidth, theta))
-    area = float(adr._top_area(cfg, bandwidth, theta))
-    p_r = float(_received_power_raw(cfg, ctx.beam, ctx.link, bandwidth, fov))
-    w_spot = spot_radius(ctx)
-    r_pd = ctx.link.responsivity
-
-    d_d1_d_theta = -d1 / t  # D1 is proportional to 1 / sin(theta)
-    # d/dD1 of FF P_t (1 - exp(-D1^2 / (2 w^2))); the exponential is kept
-    # explicit because FF P_t - P_r cancels once the aperture saturates
-    d_pr_d_theta = (cfg.fill_factor * ctx.beam.power * d1 / w_spot**2
-                    * math.exp(-(d1**2) / (2.0 * w_spot**2)) * d_d1_d_theta)
-    n0 = float(noise_psd(ctx.noise, cfg.n_pd))
-    gap = ctx.link.snr_gap
-    d_rate_d_pr = (2.0 * bandwidth / math.log(2.0)) * (
-        r_pd**2 * p_r / (gap * n0 * bandwidth + (r_pd * p_r) ** 2)
-    )
-    d_rate_d_fov = d_rate_d_pr * d_pr_d_theta / divisor
-
-    d_height_d_theta = -cfg.tau * d2 * (cfg.n_cpc * (1.0 + c * c) / s + 1.0) / (2.0 * s * s)
-    ring = float(ring_sum(cfg.n_tier, theta))
-    ring_slope = -sum(
-        12.0 * i * i * math.sin(2 * i * theta) for i in range(1, cfg.n_tier + 1)
-    )
-    d_area_d_theta = area * (ring_slope / ring - 2.0 / t)
+    # shape (1,): the noise PSD turns 0-d results into floats; a step of 1e-30 FOV
+    # underflows the rate partial where the aperture is saturated
+    h = 1e-20 * fov
+    b, fov_step = np.array([bandwidth]), np.array([fov + 1j * h])
+    theta = adr._theta(cfg.n_tier, fov_step)
+    slope = lambda f: float(f.imag[0]) / h
     return RateGradients(
-        d_rate_d_fov=d_rate_d_fov,
-        d_height_d_fov=d_height_d_theta / divisor,
-        d_area_d_fov=d_area_d_theta / divisor,
-        d_d1_d_theta=d_d1_d_theta,
+        d_rate_d_fov=slope(_rate_raw(cfg, ctx, b, fov_step)),
+        d_height_d_fov=slope(adr._height(cfg, b, theta)),
+        d_area_d_fov=slope(adr._top_area(cfg, b, theta)),
+        d_d1_d_theta=slope(adr._entrance_diameter(cfg, b, theta)) * (2 * cfg.n_tier + 1),
     )

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -10,6 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from adrdesign import (
     BoundaryOutOfRange,
     ConstraintSet,
+    LinkContext,
+    NoiseModel,
     SolverOptions,
     TruncationSpec,
     achievable_rate,
@@ -312,6 +315,10 @@ def test_unified_grid_equals_the_full_grid_oracle(case):
         inverse = _invert_boundary_grid(cfg, which, b, bound) if bound else np.full(b.shape, np.inf)
         if 2 * optimizer._FOV_FLOOR < inverse[i] < math.inf:  # a root, not the floor
             assert invert_dimension_boundary(cfg, which, float(b[i]), bound) == inverse[i]
+        elif inverse[i] < math.inf:  # the floor: the bound holds at every FOV
+            with pytest.raises(ValueError, match="rad floor") as raised:
+                invert_dimension_boundary(cfg, which, float(b[i]), bound)
+            assert not isinstance(raised.value, BoundaryOutOfRange)
 
 
 # ------------------------------------------------------------------ solvers
@@ -836,13 +843,18 @@ def _fd(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
+def _rin_ctx(ctx):
+    """ctx with the full noise model and a -130 dB/Hz RIN term."""
+    return LinkContext(beam=ctx.beam, link=ctx.link, noise=NoiseModel(mode="full", rin=1e-13))
+
+
 def test_gradient_signs_everywhere(rng, ctx10):
-    for _ in range(100):
+    for ctx, _ in itertools.product((ctx10, _rin_ctx(ctx10)), range(100)):
         cfg = _random_cfg(rng)
         cap = fov_cap(cfg.n_tier)
         b = float(rng.uniform(0.5e9, 12e9))
         fov = float(rng.uniform(math.radians(5), 0.97 * cap))
-        g = analytic_gradients(cfg, ctx10, b, fov)
+        g = analytic_gradients(cfg, ctx, b, fov)
         assert g.d_rate_d_fov < 0
         assert g.d_height_d_fov < 0
         assert g.d_area_d_fov < 0
@@ -851,14 +863,14 @@ def test_gradient_signs_everywhere(rng, ctx10):
 
 def test_gradients_match_finite_differences(rng, ctx10):
     h = 1e-6  # rad
-    for _ in range(100):
+    for ctx, _ in itertools.product((ctx10, _rin_ctx(ctx10)), range(100)):
         cfg = _random_cfg(rng)
         cap = fov_cap(cfg.n_tier)
         b = float(rng.uniform(0.5e9, 12e9))
         fov = float(rng.uniform(math.radians(5), 0.95 * cap))
-        g = analytic_gradients(cfg, ctx10, b, fov)
+        g = analytic_gradients(cfg, ctx, b, fov)
 
-        fd_rate = _fd(lambda f: achievable_rate(cfg, b, f, ctx10), fov, h)
+        fd_rate = _fd(lambda f: achievable_rate(cfg, b, f, ctx), fov, h)
         assert g.d_rate_d_fov == pytest.approx(fd_rate, rel=1e-4)
 
         fd_height = _fd(lambda f: geometry(cfg, b, f).height, fov, h)
@@ -883,10 +895,15 @@ def test_gradients_domain_errors(ctx10):
         analytic_gradients(cfg, ctx10, 2e9, fov_cap(cfg.n_tier))  # boundary point
     with pytest.raises(ValueError):
         analytic_gradients(cfg, ctx10, 0.0, FOV30)
-    from adrdesign import LinkContext, NoiseModel
-    full_ctx = LinkContext(beam=ctx10.beam, link=ctx10.link, noise=NoiseModel(mode="full"))
-    with pytest.raises(ValueError):
-        analytic_gradients(cfg, full_ctx, 2e9, FOV30)
+
+
+def test_gradient_step_survives_a_saturated_aperture(ctx10):
+    # a saturated aperture: exp(-2 rho^2 / w^2) is 2.7e-294 here, so the complex
+    # step's imaginary part stays above underflow at h = 1e-20 FOV, not at 1e-30 FOV
+    cfg = preset("config3", truncation=TRUNC)
+    g = analytic_gradients(cfg, ctx10, 863771948.4358281, 0.009195872836317268)
+    assert g.d_rate_d_fov < 0
+    assert g.d_rate_d_fov == pytest.approx(-9.807265428728916e-280, rel=1e-6, abs=0)  # closed form
 
 
 def test_zoom_search_evaluates_few_grids(ctx16, monkeypatch):
