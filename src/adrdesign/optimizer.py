@@ -6,10 +6,11 @@ boundaries are explicit in FOV, B_h = h(theta) / l_max and
 B_a = sqrt(a(theta) / a_max), so the edge is the segment FOV = fov_min and
 the curve B = B_lo(FOV) = max(B_h, B_a)(FOV). The search zooms a grid along
 each piece, batched over many constraint sets, without inverting a
-boundary. The inverse f_fov(B) = max(fov_min, B_h^-1(B), B_a^-1(B)),
-bracketed on a tabulated FOV grid and refined by secant steps, serves the
-boundary trace, feasible-region masks and callers. The partial derivatives,
-by complex step through the same kernels, serve verification, not the search.
+boundary, and solves each corner of the curve in closed form. The inverse
+f_fov(B) = max(fov_min, B_h^-1(B), B_a^-1(B)), bracketed on a tabulated FOV
+grid and refined by secant steps, serves the boundary trace, feasible-region
+masks and callers. Complex steps through the same kernels give the corner
+steps their slopes and give the partial derivatives that serve verification.
 """
 
 from __future__ import annotations
@@ -131,7 +132,12 @@ def dimension_boundary(cfg: AdrConfig, which: str, fov: float, bound: float) -> 
         raise ValueError(f"which must be 'height' or 'area', got {which!r}")
     require_positive("bound", bound)
     adr.acceptance_angle(fov, cfg.n_tier)
-    return float(_boundary(cfg, which, fov, bound))
+    with np.errstate(over="ignore"):
+        b = float(_boundary(cfg, which, fov, bound))
+    if math.isinf(b):  # coeff / bound overflows
+        raise ValueError(f"{which} bound {bound:g} is too small: its boundary overflows "
+                         f"at FOV {fov:g} rad")
+    return b
 
 
 # Geometric FOV table that brackets each inverse, fine enough that log-log
@@ -183,13 +189,11 @@ def invert_dimension_boundary(cfg: AdrConfig, which: str, bandwidth: float,
     Bracketed secant inverse of the strictly decreasing boundary; the
     residual |f(FOV) - B| / B must come out below 1e-10. Raises
     BoundaryOutOfRange when the bandwidth is below the boundary image, and
-    ValueError when it is above the image down to the 1e-9 rad FOV floor.
+    ValueError when it is above the image down to the 1e-9 rad FOV floor or
+    when the bound is so small that the boundary overflows there.
     """
-    if which not in _DIMENSIONS:
-        raise ValueError(f"which must be 'height' or 'area', got {which!r}")
     require_positive("bandwidth", bandwidth)
-    require_positive("bound", bound)
-    if bandwidth > _boundary(cfg, which, _FOV_FLOOR, bound):
+    if bandwidth > dimension_boundary(cfg, which, _FOV_FLOOR, bound):
         raise ValueError(f"at {bandwidth / 1e9:.4g} GHz the {which} stays under its bound "
                          f"{bound:g} at every FOV down to the {_FOV_FLOOR:g} rad floor")
     fov = float(_invert_boundary_grid(cfg, which, bandwidth, bound)[0])
@@ -253,14 +257,14 @@ def _infeasible_diagnostic(cfg: AdrConfig, cs: ConstraintSet, opts: SolverOption
     for which, bound in (("height", cs.l_max), ("area", cs.a_max)):
         if bound is None:
             continue
-        with np.errstate(over="ignore"):  # a tiny fov_min needs B = inf
-            b_needed = float(_boundary(cfg, which, cs.fov_min, bound))
+        with np.errstate(over="ignore"):  # a tiny fov_min or bound needs B = inf
+            b_needed, b_floor = (float(_boundary(cfg, which, fov, bound))
+                                 for fov in (cs.fov_min, cap))
         if b_needed > opts.b_max:
             parts.append(
                 f"{which} bound {bound:g} needs B >= {b_needed / 1e9:.3g} GHz at "
                 f"fov_min, above the search range"
             )
-        b_floor = float(_boundary(cfg, which, cap, bound))
         if b_floor > opts.b_max:
             parts.append(
                 f"{which} bound {bound:g} is unreachable below "
@@ -278,13 +282,17 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
     and the curve B = B_lo(FOV) over FOV in [fov_min, cap], where B_lo must
     lie in [b_min, b_max], with one bracket per piece, and keeps the better.
     A bracket stops once it spans less than b_rel_tol in B, stops narrowing
-    or holds no feasible point; one across a corner of the curve (where the
-    binding cap changes or B_lo leaves the range) goes on to float
-    resolution, since there the rate error is first order in its width.
-    A piece whose best first-pass point is an end (exact: t = 0 gives lo, and
-    hi is set) stops there when its neighbour cell is smooth and the inner
-    point beside that end is feasible and no higher: the zoom would only
-    come back to the same end.
+    or holds no feasible point. A piece whose best first-pass point is an end
+    (exact: t = 0 gives lo, and hi is set) stops there when its neighbour cell
+    is smooth and the inner point beside that end is feasible and no higher:
+    the zoom would only come back to the same end. A cell beside the best
+    point that holds a corner of the curve (where the binding cap changes or
+    B_lo leaves the range, so a zoom's rate error is first order in its
+    width) is solved for the corner instead, and so is a curve cell that B_lo
+    crosses from above b_max to below b_min, with no feasible grid point. The
+    next pass prices each corner with a point just inside either side, and
+    the piece ends there when neither point nor an earlier pass beats it;
+    else it zooms the smooth sub-piece that holds its best point.
     """
     fov_min = np.atleast_1d(np.asarray(fov_min, dtype=float))
     if fov_min.size:  # ConstraintSet checks each field on its own: its extremes check all sets
@@ -313,11 +321,39 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
                     for which, bound in bounds] or [np.zeros(fov.shape)]
         return np.maximum(each[0], each[-1]), each[-1] > each[0]
 
+    def corner(f0, f1, owner, switch, sign, edge):
+        """FOV in each cell (f0, f1) (columns) where the binding cap changes (switch) or B_lo
+        crosses edge: from the chord of the log residual, Newton steps on log FOV with slopes
+        by complex step; a step out of the cell bisects it, and a root stops after a step
+        below 1e-8, which leaves an error of the order of its square."""
+        rcv, caps = receivers(owner), [(w, bound[owner]) for w, bound in (bounds[0], bounds[-1])]
+
+        def residual(f):  # sign makes it positive at f0 and negative at f1
+            h, a = (_boundary(rcv, w, f, bound) for w, bound in caps)
+            return sign * np.log(np.where(switch, h / a, np.where(h.real >= a.real, h, a) / edge))
+
+        with np.errstate(all="ignore"):  # a tiny FOV overflows the coefficients: NaN, left
+            g = residual(np.hstack([f0, f1]))
+            t = g[:, :1] / (g[:, :1] - g[:, 1:])
+            f, go = f0 * (f1 / f0) ** np.where((t > 0) & (t < 1), t, 0.5), True
+            while np.any(go):
+                g = residual(f * (1 + 1e-20j))
+                left = ~(g.real <= 0)
+                f0, f1 = np.where(left, f, f0), np.where(left, f1, f)
+                du = g.real * 1e-20 / g.imag
+                step, last = f * np.exp(-du), np.abs(du) < 1e-8
+                f = np.where(go, np.where(last | (step > f0) & (step < f1), step,
+                                          f0 * np.sqrt(f1 / f0)), f)
+                go &= ~last & (f1 - f0 > 1e-15 * f1)  # or the cell closes on float resolution
+        return f[:, 0]
+
     # rows 0..k-1 are the segments, rows k..2k-1 the curves of the same sets
     seg_lo = np.maximum(opts.b_min, b_lo(fov_min[:, None], np.arange(k))[0][:, 0])
     lo = np.concatenate([seg_lo, fov_min])
     hi = np.concatenate([np.full(k, opts.b_max), np.maximum(fov_min, fov_cap(n_tier))])
     best = np.full((3, 2 * k), -np.inf)  # rate, B, FOV of each piece
+    corners = np.full((2 * k, 2), np.nan)  # FOVs of the corners beside a curve's best point
+    at_corner = np.zeros(2 * k, dtype=bool)  # rows to price at their corners in the next pass
     valid = fov_valid(n_tier, fov_min)
     rows = np.flatnonzero(np.concatenate([valid & (seg_lo <= opts.b_max), valid & bool(bounds)]))
     # pass 1 adds an inner point just inside each end, at t = 1e-7 and 1 - 1e-7 (columns n, n + 1)
@@ -326,15 +362,23 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
         # geometric grids from lo to hi, clipped so that brackets only shrink
         x = np.minimum(lo[rows, None] * (hi[rows, None] / lo[rows, None]) ** t, hi[rows, None])
         x[:, n - 1] = hi[rows]
-        owner, curve = rows % k, rows >= k
+        owner, curve, m, priced = rows % k, rows >= k, np.arange(rows.size), at_corner[rows]
+        pricing = priced.any()
+        if pricing:  # instead of a grid: each corner, and a point just inside either side
+            q = rows[priced]
+            x[priced] = np.nan
+            x[priced, :6] = (corners[q, :, None] * (hi[q] / lo[q])[:, None, None]
+                             ** np.array([0.0, -1e-7, 1e-7])).reshape(-1, 6)
         b, fov = x.copy(), np.where(curve[:, None], x, fov_min[owner, None])
         binding = np.zeros(x.shape, dtype=bool)
         b[curve], binding[curve] = b_lo(x[curve], owner[curve])
+        if pricing:  # where B_lo leaves [b_min, b_max] the corner lies on that bound
+            b[priced, :6:3] = np.clip(b[priced, :6:3], opts.b_min, opts.b_max)
         feasible = (b >= opts.b_min) & (b <= opts.b_max)
         # the kernel runs on whole rows, each infeasible point replaced by its row's first
         # feasible one, so it sees only points of the search; rows without one are skipped
         grid = feasible[:, :n]
-        live, m, first = grid.any(axis=1), np.arange(rows.size), np.argmax(grid, axis=1)
+        live, first = grid.any(axis=1), np.argmax(grid, axis=1)
         b_at, fov_at = (np.where(feasible, v, v[m, first, None])[live] for v in (b, fov))
         rates = np.full(x.shape, -np.inf)
         rates[live] = np.where(feasible[live],
@@ -353,7 +397,46 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
             done |= ((i == 0) | (i == n - 1)) & smooth & feasible[m, inner] & (
                 rates[m, inner] <= rates[m, i])
             t = t[:n]
-        lo[rows], hi[rows] = x[m, j], x[m, jj]
+        # a curve whose B_lo crosses all of [b_min, b_max] inside one cell has no feasible
+        # grid point: that cell holds two corners, at b_max and at b_min
+        jump = ~live & curve & (b[:, n - 1] < opts.b_min)
+        if jump.any():
+            cross = np.maximum((b[:, :n] > opts.b_max).sum(axis=1) - 1, 0)
+            jump &= b[m, np.minimum(cross + 1, n - 1)] < opts.b_min
+            i, j, jj = (np.where(jump, cross + d, v) for d, v in ((0, i), (0, j), (1, jj)))
+            done &= ~jump
+        sub_lo, sub_hi = x[m, j], x[m, jj]
+        if pricing:
+            # a priced row ends at a corner that neither point beside it nor an earlier pass
+            # beats; else it zooms the sub-piece, between corners, that holds its best point
+            c, p = corners[q], best[2, q, None]
+            sub_lo[priced] = np.max(np.where(c < p, c, lo[q, None]), axis=1)
+            sub_hi[priced] = np.min(np.where(c > p, c, hi[q, None]), axis=1)
+            done[priced] = ~live[priced] | ((i[priced] % 3 == 0)
+                                            & (rates[priced, i[priced]] == best[0, q]))
+            at_corner[q] = False
+        lo[rows], hi[rows] = sub_lo, sub_hi
+        kink = ~(done | smooth | priced)
+        if kink.any():
+            # a cell beside the best point where the binding cap changes, or where B_lo
+            # leaves [b_min, b_max], holds a corner: solve for it, to price it in the next pass
+            kink = np.flatnonzero(kink)
+            jumps = jump[kink]
+            a, z = (np.where(jumps, v[kink], np.stack(c)[:, kink])
+                    for v, c in ((j, (j, i)), (jj, (i, jj))))
+            fa, fz = feasible[kink, a], feasible[kink, z]
+            switch = fa & fz & (binding[kink, a] != binding[kink, z])
+            cut = switch | (fa != fz) | jumps
+            side, r = np.nonzero(cut)
+            below = np.fmin(b[kink, a], b[kink, z]) < opts.b_min
+            edge = np.where(jumps, np.array([[opts.b_max], [opts.b_min]]),
+                            np.where(below, opts.b_min, opts.b_max))
+            sign = np.where(switch & binding[kink, a], -1.0, 1.0)
+            corners[rows[kink]] = np.nan
+            corners[rows[kink[r]], side] = corner(
+                *(v[cut][:, None] for v in (x[kink, a], x[kink, z])), owner[kink[r]],
+                *(v[cut][:, None] for v in (switch, sign, edge)))
+            at_corner[rows[kink]] = True
         rows = rows[~done]
     out = np.where(best[0, k:] > best[0, :k], best[:, k:], best[:, :k])
     return tuple(np.where(out[0] > -np.inf, out, np.nan))

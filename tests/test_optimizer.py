@@ -24,6 +24,7 @@ from adrdesign import (
     maximize_rate_constrained,
     optimizer,
     preset,
+    rmax_vs_fovmin,
     unified_boundary,
 )
 from adrdesign.adr import PRESETS, AdrConfig, fov_cap, fov_valid
@@ -312,10 +313,15 @@ def test_unified_grid_equals_the_full_grid_oracle(case):
     i = len(b) // 2
     assert np.float64(unified_boundary(cfg, cs, float(b[i]))).tobytes() == want[i].tobytes()
     for which, bound in (("height", cs.l_max), ("area", cs.a_max)):
-        inverse = _invert_boundary_grid(cfg, which, b, bound) if bound else np.full(b.shape, np.inf)
-        if 2 * optimizer._FOV_FLOOR < inverse[i] < math.inf:  # a root, not the floor
+        if not bound:
+            continue
+        inverse = _invert_boundary_grid(cfg, which, b, bound)
+        # the floor where the bound holds at the 1e-9 rad floor itself, else a root,
+        # which can lie within 2e-9 rad
+        at_floor = b[i] > optimizer._boundary(cfg, which, optimizer._FOV_FLOOR, bound)
+        if inverse[i] < math.inf and not at_floor:
             assert invert_dimension_boundary(cfg, which, float(b[i]), bound) == inverse[i]
-        elif inverse[i] < math.inf:  # the floor: the bound holds at every FOV
+        elif inverse[i] < math.inf:
             with pytest.raises(ValueError, match="rad floor") as raised:
                 invert_dimension_boundary(cfg, which, float(b[i]), bound)
             assert not isinstance(raised.value, BoundaryOutOfRange)
@@ -372,6 +378,51 @@ def test_constrained_compact_design_pair(ctx16):
     assert trunc.rate_star > orig.rate_star
     assert trunc.active_constraints == frozenset({"height", "area"})
     assert orig.active_constraints == frozenset({"height"})
+
+
+def test_compact_corner_meets_both_caps(ctx16):
+    # the compact optimum is a binding switch, solved inside its cell rather than
+    # zoomed: height and top area both sit on their caps to 1e-12
+    cfg = preset("config1", truncation=TRUNC)
+    res = maximize_rate_constrained(cfg, ctx16, ConstraintSet(FOV30, l_max=0.005, a_max=0.5e-4))
+    geo = geometry(cfg, res.b_star, res.fov_star)
+    assert abs(geo.height / 0.005 - 1) <= 1e-12
+    assert abs(geo.top_area / 0.5e-4 - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("scenario", ["MCD", "SCD"])
+def test_capped_tables_take_three_kernel_calls(ctx16, monkeypatch, scenario):
+    # a table shaped like the benchmark's study; the MCD config5 rows and the SCD
+    # truncated config1 rows end on a height/area binding switch. Each corner is
+    # priced with the second zoom pass, so the table calls the kernel <= 3 times
+    calls = []
+    original = optimizer._rate_raw
+
+    def counting(cfg, ctx, b, fov):
+        calls.append(np.shape(b))
+        return original(cfg, ctx, b, fov)
+
+    monkeypatch.setattr(optimizer, "_rate_raw", counting)
+    cfgs = {"config1": AdrConfig(n_tier=1, n_pd=4), "config5": AdrConfig(n_tier=2, n_pd=16),
+            "tier0": AdrConfig(n_tier=0, n_pd=4)}
+    table = rmax_vs_fovmin(cfgs, ctx16, scenario, [10.0, 20.0, 45.0], truncation=TRUNC)
+    assert 1 <= len(calls) <= 3, calls
+    assert sum(math.isnan(row["rate_bps"]) for row in table.rows) == 2  # tier 0 above 30 deg
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_bound_too_small_to_represent_is_rejected_by_name(ctx10):
+    # coeff / bound overflows for a subnormal bound: the entry points name the
+    # bound instead of returning inf or warning, and the solver reports it
+    cfg = preset("config1")
+    for which in ("height", "area"):
+        with pytest.raises(ValueError, match=f"{which} bound 4.94066e-324 is too small"):
+            dimension_boundary(cfg, which, 0.5, 5e-324)
+        with pytest.raises(ValueError, match=f"{which} bound 4.94066e-324 is too small"):
+            invert_dimension_boundary(cfg, which, 2e9, 5e-324)
+    res = maximize_rate_constrained(cfg, ctx10, ConstraintSet(0.5, a_max=5e-324))
+    assert not res.feasible
+    assert res.diagnostic.startswith("area bound 4.94066e-324 needs B >= inf GHz at fov_min")
 
 
 def test_constrained_midsize_pair_as_set(ctx16):
@@ -603,6 +654,17 @@ def test_tiny_fov_min_solves_without_float_warnings(ctx10):
     assert np.isnan(rates[0]) and rates[1] == pytest.approx(ref.rate_star, rel=1e-9)
 
 
+def test_a_feasible_stretch_inside_one_cell_is_found(ctx10):
+    # at fov_min = 1e-200 a 64-point curve grid has cells 1500-fold wide in FOV, and
+    # the whole feasible stretch (B_lo from b_max down to b_min) lies inside its last
+    # cell: no grid point is feasible, but that cell holds two corners, and the search
+    # finds from them the optimum a 400-point grid finds
+    cfg = AdrConfig(n_tier=0, n_pd=1, truncation=TRUNC)
+    coarse, fine = (optimizer._solve(cfg, ctx10, np.array([1e-200]), np.array([0.02]), None,
+                                     SolverOptions(grid_points=n))[0][0] for n in (64, 400))
+    assert coarse == pytest.approx(fine, rel=1e-12)
+
+
 # Receivers of the mixed batches: every preset plus tier-0 arrays of 1, 4 and 16
 # PDs, whose 30 deg FOV cap sits below the others' 90 deg.
 _RECEIVERS = [*PRESETS.values(), *(AdrConfig(n_tier=0, n_pd=n) for n in (1, 4, 16))]
@@ -735,14 +797,17 @@ def _zoom_oracle(cfg, ctx, fov_min, l_max, a_max, opts):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_mixed_batches(), st.booleans())
 def test_search_equals_the_zoom_oracle(batch, one_receiver):
-    # a piece that pass 1 ends at a certified end gives, bit for bit, what the
-    # zoom would have: one receiver for the whole batch, or one per set
+    # the certified ends and the corners solved in closed form give what the zoom
+    # would have: the same infeasible sets and R* within 1e-12, one receiver for
+    # the whole batch or one per set. A corner root lands within rounding of the
+    # kink that the zoom narrows on to, so R* can move in its last digits.
     cfgs, ctx, fov_min, l_max, a_max, opts = batch
     cfg = cfgs[0] if one_receiver else cfgs
-    got = optimizer._solve(cfg, ctx, fov_min, l_max, a_max, opts)
-    want = _zoom_oracle(cfg, ctx, fov_min, l_max, a_max, opts)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+    got = optimizer._solve(cfg, ctx, fov_min, l_max, a_max, opts)[0]
+    want = _zoom_oracle(cfg, ctx, fov_min, l_max, a_max, opts)[0]
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    on = ~np.isnan(want)
+    assert np.all(np.abs(got[on] - want[on]) <= 1e-12 * want[on])
 
 
 def test_search_is_within_1e_12_of_a_fine_solve():
@@ -763,6 +828,78 @@ def test_search_is_within_1e_12_of_a_fine_solve():
     assert 0 < np.isnan(got).sum() < k / 2
     on = ~np.isnan(got)
     assert np.all(got[on] >= fine[on] * (1 - 1e-12))
+
+
+def _certify(cfg, ctx, fov_min, l_max, a_max, opts, rate, eps=1e-6, rounds=60):
+    """Upper bound U on the rate over one set's feasible region (-inf: none).
+
+    The optimum lies on the lower edge: the segment FOV = fov_min over
+    B in [max(b_min, B_lo(fov_min)), b_max], and the curve B = B_lo(FOV) over
+    [fov_min, cap] where B_lo lies in [b_min, b_max]. The SNR falls with B and
+    with FOV, so B log2(1 + SNR / gap) is bounded on a cell by its largest B
+    times log2(1 + SNR / gap) at its smallest B and FOV:
+    - segment cell [B0, B1]: rate(B0) B1 / B0;
+    - curve cell [F0, F1]: B_hi rate(B_lo, F0) / B_lo with B_hi = min(B_lo(F0), b_max)
+      and B_lo = max(B_lo(F1), b_min); no feasible point where B_lo > B_hi.
+    Cells of a grid_points grid along each piece are halved while their bound
+    exceeds rate (1 + eps), for at most `rounds` rounds and while no more than
+    10 000 cells need it; U is the largest bound left.
+    """
+    if not fov_valid(cfg.n_tier, fov_min):
+        return -math.inf
+    caps = [(w, v) for w, v in (("height", l_max), ("area", a_max)) if v is not None]
+
+    def b_lo(fov):
+        with np.errstate(over="ignore"):  # a tiny FOV needs B = inf
+            return np.max([optimizer._boundary(cfg, w, fov, v) for w, v in caps], axis=0)
+
+    def bound(seg, lo, hi):
+        b_low, b_hi, fov, curve = lo.copy(), hi.copy(), np.full(lo.shape, fov_min), ~seg
+        if curve.any():
+            b_low[curve] = np.maximum(b_lo(hi[curve]), opts.b_min)
+            b_hi[curve] = np.minimum(b_lo(lo[curve]), opts.b_max)
+            fov[curve] = lo[curve]
+        on = b_low <= b_hi
+        out = np.full(lo.shape, -math.inf)
+        out[on] = b_hi[on] * _rate_raw(cfg, ctx, b_low[on], fov[on]) / b_low[on]
+        return out
+
+    seg_lo = max(opts.b_min, float(b_lo(np.array(fov_min)))) if caps else opts.b_min
+    edges = ([np.geomspace(seg_lo, opts.b_max, opts.grid_points)] if seg_lo <= opts.b_max
+             else []) + ([np.geomspace(fov_min, fov_cap(cfg.n_tier), opts.grid_points)]
+                         if caps else [])
+    seg = np.concatenate([np.full(e.size - 1, k == 0 and seg_lo <= opts.b_max)
+                          for k, e in enumerate(edges)] or [np.zeros(0, bool)])
+    lo = np.concatenate([e[:-1] for e in edges] or [np.zeros(0)])
+    hi = np.concatenate([e[1:] for e in edges] or [np.zeros(0)])
+    u, kept = bound(seg, lo, hi), []
+    for _ in range(rounds):
+        split = u > rate * (1 + eps)  # False everywhere where rate is NaN
+        if not split.any() or split.sum() > 10000:  # proved, or R* too low to prove
+            break
+        kept.append(u[~split])
+        mid = lo[split] * np.sqrt(hi[split] / lo[split])
+        seg = np.concatenate([seg[split]] * 2)
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        u = bound(seg, lo, hi)
+    return max(v.max(initial=-math.inf) for v in [u, *kept])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mixed_batches())
+def test_every_optimum_is_certified(batch):
+    # a monotone upper bound over the whole feasible region proves each R* to
+    # 1e-6: R* <= U <= R* (1 + 1e-6), and U = -inf exactly where R* is NaN
+    cfgs, ctx, fov_min, l_max, a_max, opts = batch
+    rate = optimizer._solve(cfgs, ctx, fov_min, l_max, a_max, opts)[0]
+    for s, cfg in enumerate(cfgs):
+        u = _certify(cfg, ctx, fov_min[s], *(None if v is None else v[s] for v in (l_max, a_max)),
+                     opts, rate[s])
+        if math.isnan(rate[s]):
+            assert u == -math.inf
+        else:
+            assert rate[s] <= u <= rate[s] * (1 + 1e-6)
 
 
 @pytest.mark.parametrize("l_max, b_star, rate_star", [
