@@ -256,9 +256,11 @@ def parse_quantity(text: str, kind: str) -> float:
     deg for angles, mW for power, SI for lengths and areas.
     """
     match = _QUANTITY_RE.match(str(text))
-    if not match:
-        raise ConfigError(f"cannot parse {text!r} as a {kind}")
-    value, suffix = float(match.group(1)), match.group(2).lower()
+    try:  # float() also rejects what the pattern admits but is no number: '1.2.3', '1e', '.'
+        value = float(match.group(1) if match else "")
+    except ValueError:
+        raise ConfigError(f"cannot parse {text!r} as a {kind}") from None
+    suffix = match.group(2).lower()
     if not suffix:
         return value * _BARE_UNIT[kind]
     table = _UNIT_TABLE[kind]

@@ -5,8 +5,8 @@ the optimum sits on the lower edge of the feasible region. Both dimension
 boundaries are explicit in FOV, B_h = h(theta) / l_max and
 B_a = sqrt(a(theta) / a_max), so the edge is the segment FOV = fov_min and
 the curve B = B_lo(FOV) = max(B_h, B_a)(FOV). The search zooms a grid along
-each piece, batched over many constraint sets, without inverting a
-boundary, and solves each corner of the curve in closed form. The inverse
+each piece, batched over many constraint sets, and solves for each corner of
+the curve and each end where B_lo leaves [b_min, b_max]. The inverse
 f_fov(B) = max(fov_min, B_h^-1(B), B_a^-1(B)), bracketed on a tabulated FOV
 grid and refined by secant steps, serves the boundary trace, feasible-region
 masks and callers. Complex steps through the same kernels give the corner
@@ -279,20 +279,21 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
     cfg is one AdrConfig for every set, or a sequence of K, one per set. l_max
     and a_max hold K caps each, or are None for no cap. Each set zooms
     the segment FOV = fov_min over B in [max(b_min, B_lo(fov_min)), b_max]
-    and the curve B = B_lo(FOV) over FOV in [fov_min, cap], where B_lo must
-    lie in [b_min, b_max], with one bracket per piece, and keeps the better.
-    A bracket stops once it spans less than b_rel_tol in B, stops narrowing
-    or holds no feasible point. A piece whose best first-pass point is an end
-    (exact: t = 0 gives lo, and hi is set) stops there when its neighbour cell
-    is smooth and the inner point beside that end is feasible and no higher:
-    the zoom would only come back to the same end. A cell beside the best
-    point that holds a corner of the curve (where the binding cap changes or
-    B_lo leaves the range, so a zoom's rate error is first order in its
-    width) is solved for the corner instead, and so is a curve cell that B_lo
-    crosses from above b_max to below b_min, with no feasible grid point. The
-    next pass prices each corner with a point just inside either side, and
-    the piece ends there when neither point nor an earlier pass beats it;
-    else it zooms the smooth sub-piece that holds its best point.
+    and the curve B = B_lo(FOV) over the FOVs in [fov_min, cap] where B_lo
+    lies in [b_min, b_max], with one bracket per piece, and keeps the better.
+    The curve's bracket is set before the search: it starts at fov_min, or
+    where B_lo falls to b_max, and ends at the cap, or where B_lo falls to
+    b_min, so every point priced is feasible. A bracket stops once it spans
+    less than b_rel_tol in B or stops narrowing. A piece whose best
+    first-pass point is an end (exact: t = 0 gives lo, and hi is set) stops
+    there when its neighbour cell is smooth and the inner point beside that
+    end is no higher: the zoom would only come back to the same end. A cell
+    beside the best point where the binding cap changes holds a corner of
+    the curve, where a zoom's rate error is first order in its width: it is
+    solved for the corner instead. The next pass prices each corner with a
+    point just inside either side, and the piece ends there when neither
+    point nor an earlier pass beats it; else it zooms the smooth sub-piece
+    that holds its best point.
     """
     fov_min = np.atleast_1d(np.asarray(fov_min, dtype=float))
     if fov_min.size:  # ConstraintSet checks each field on its own: its extremes check all sets
@@ -321,23 +322,26 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
                     for which, bound in bounds] or [np.zeros(fov.shape)]
         return np.maximum(each[0], each[-1]), each[-1] > each[0]
 
-    def corner(f0, f1, owner, switch, sign, edge):
-        """FOV in each cell (f0, f1) (columns) where the binding cap changes (switch) or B_lo
-        crosses edge: from the chord of the log residual, Newton steps on log FOV with slopes
-        by complex step; a step out of the cell bisects it, and a root stops after a step
-        below 1e-8, which leaves an error of the order of its square."""
+    def corner(f, owner, edge=None, g=None):
+        """FOV inside each bracket f (rows of two FOVs) where B_lo falls to edge (a column), or
+        where the binding cap changes (edge None). g, the log residual at f, saves evaluating
+        it. From the chord of the log residual, Newton steps on log FOV with slopes by complex
+        step; a step out of the bracket bisects it, and a root stops after a step below 1e-8,
+        which leaves an error of the order of its square."""
         rcv, caps = receivers(owner), [(w, bound[owner]) for w, bound in (bounds[0], bounds[-1])]
 
-        def residual(f):  # sign makes it positive at f0 and negative at f1
+        def residual(f):  # log(B_lo / edge), or log(B_h / B_a) at a switch
             h, a = (_boundary(rcv, w, f, bound) for w, bound in caps)
-            return sign * np.log(np.where(switch, h / a, np.where(h.real >= a.real, h, a) / edge))
+            return np.log(h / a if edge is None else np.where(h.real >= a.real, h, a) / edge)
 
         with np.errstate(all="ignore"):  # a tiny FOV overflows the coefficients: NaN, left
-            g = residual(np.hstack([f0, f1]))
+            g = residual(f) if g is None else g
+            sign = np.where(g[:, :1] > 0, 1.0, -1.0)  # the residual, signed, falls across f
+            f0, f1 = f[:, :1], f[:, 1:]
             t = g[:, :1] / (g[:, :1] - g[:, 1:])
             f, go = f0 * (f1 / f0) ** np.where((t > 0) & (t < 1), t, 0.5), True
             while np.any(go):
-                g = residual(f * (1 + 1e-20j))
+                g = sign * residual(f * (1 + 1e-20j))
                 left = ~(g.real <= 0)
                 f0, f1 = np.where(left, f, f0), np.where(left, f1, f)
                 du = g.real * 1e-20 / g.imag
@@ -348,95 +352,71 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
         return f[:, 0]
 
     # rows 0..k-1 are the segments, rows k..2k-1 the curves of the same sets
-    seg_lo = np.maximum(opts.b_min, b_lo(fov_min[:, None], np.arange(k))[0][:, 0])
-    lo = np.concatenate([seg_lo, fov_min])
-    hi = np.concatenate([np.full(k, opts.b_max), np.maximum(fov_min, fov_cap(n_tier))])
-    best = np.full((3, 2 * k), -np.inf)  # rate, B, FOV of each piece
-    corners = np.full((2 * k, 2), np.nan)  # FOVs of the corners beside a curve's best point
-    at_corner = np.zeros(2 * k, dtype=bool)  # rows to price at their corners in the next pass
+    ends = np.column_stack([fov_min, np.maximum(fov_min, fov_cap(n_tier))])  # ends of each curve
+    b_lo_ends = b_lo(ends, np.arange(k))[0]
     valid = fov_valid(n_tier, fov_min)
-    rows = np.flatnonzero(np.concatenate([valid & (seg_lo <= opts.b_max), valid & bool(bounds)]))
+    seg_lo = np.maximum(opts.b_min, b_lo_ends[:, 0])
+    has_curve = (valid & bool(bounds) & (b_lo_ends[:, 1] <= opts.b_max)
+                 & (b_lo_ends[:, 0] >= opts.b_min))
+    # a curve that starts above b_max starts instead where B_lo falls to b_max, and one
+    # that ends below b_min ends where B_lo falls to b_min
+    edge = np.array([opts.b_max, opts.b_min])
+    s, e = np.nonzero(has_curve[:, None] & ((b_lo_ends - edge) * [1, -1] > 0))
+    if s.size:
+        ends[s, e] = corner(ends[s], s, edge[e, None], np.log(b_lo_ends[s] / edge[e, None]))
+    lo = np.concatenate([seg_lo, ends[:, 0]])
+    hi = np.concatenate([np.full(k, opts.b_max), ends[:, 1]])
+    best = np.full((3, 2 * k), -np.inf)  # rate, B, FOV of each piece
+    # FOV of the corner beside a curve's best point, to price in the next pass (NaN: none)
+    corners = np.full(2 * k, np.nan)
+    rows = np.flatnonzero(np.concatenate([valid & (seg_lo <= opts.b_max), has_curve]))
     # pass 1 adds an inner point just inside each end, at t = 1e-7 and 1 - 1e-7 (columns n, n + 1)
     t = np.append(np.linspace(0.0, 1.0, n), [1e-7, 1.0 - 1e-7])
     while rows.size:
         # geometric grids from lo to hi, clipped so that brackets only shrink
         x = np.minimum(lo[rows, None] * (hi[rows, None] / lo[rows, None]) ** t, hi[rows, None])
         x[:, n - 1] = hi[rows]
-        owner, curve, m, priced = rows % k, rows >= k, np.arange(rows.size), at_corner[rows]
+        owner, curve, m = rows % k, rows >= k, np.arange(rows.size)
+        priced = ~np.isnan(corners[rows])
         pricing = priced.any()
-        if pricing:  # instead of a grid: each corner, and a point just inside either side
+        if pricing:  # instead of a grid: the corner, and just beside it in columns 1-2
             q = rows[priced]
-            x[priced] = np.nan
-            x[priced, :6] = (corners[q, :, None] * (hi[q] / lo[q])[:, None, None]
-                             ** np.array([0.0, -1e-7, 1e-7])).reshape(-1, 6)
+            x[priced] = corners[q, None]
+            x[priced, 1:3] *= (hi[q] / lo[q])[:, None] ** np.array([-1e-7, 1e-7])
         b, fov = x.copy(), np.where(curve[:, None], x, fov_min[owner, None])
         binding = np.zeros(x.shape, dtype=bool)
         b[curve], binding[curve] = b_lo(x[curve], owner[curve])
-        if pricing:  # where B_lo leaves [b_min, b_max] the corner lies on that bound
-            b[priced, :6:3] = np.clip(b[priced, :6:3], opts.b_min, opts.b_max)
-        feasible = (b >= opts.b_min) & (b <= opts.b_max)
-        # the kernel runs on whole rows, each infeasible point replaced by its row's first
-        # feasible one, so it sees only points of the search; rows without one are skipped
-        grid = feasible[:, :n]
-        live, first = grid.any(axis=1), np.argmax(grid, axis=1)
-        b_at, fov_at = (np.where(feasible, v, v[m, first, None])[live] for v in (b, fov))
-        rates = np.full(x.shape, -np.inf)
-        rates[live] = np.where(feasible[live],
-                               _rate_raw(receivers(owner[live]), ctx, b_at, fov_at), -np.inf)
+        b = np.clip(b, opts.b_min, opts.b_max)  # the rounding of B_lo at a solved end
+        rates = _rate_raw(receivers(owner), ctx, b, fov)
         i = np.argmax(rates[:, :n], axis=1)
         better = rates[m, i] > best[0, rows]
         best[:, rows[better]] = np.stack([rates[m, i], b[m, i], fov[m, i]])[:, better]
         j, jj = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
-        smooth = feasible[m, j] & feasible[m, jj] & (binding[m, j] == binding[m, jj])
-        b_ends = np.where(smooth, np.stack([b[m, j], b[m, jj]]), 0.0)  # read only if smooth
-        done = (~live
-                | (smooth & (np.ptp(b_ends, axis=0) <= opts.b_rel_tol * b_ends.max(axis=0)))
+        smooth = binding[m, j] == binding[m, jj]
+        b_ends = np.stack([b[m, j], b[m, jj]])
+        done = ((smooth & (np.ptp(b_ends, axis=0) <= opts.b_rel_tol * b_ends.max(axis=0)))
                 | (x[m, jj] - x[m, j] >= hi[rows] - lo[rows]))
         if t.size > n:  # an end certified by its inner point is what the zoom would return
             inner = np.where(i == 0, n, n + 1)
-            done |= ((i == 0) | (i == n - 1)) & smooth & feasible[m, inner] & (
-                rates[m, inner] <= rates[m, i])
+            done |= ((i == 0) | (i == n - 1)) & smooth & (rates[m, inner] <= rates[m, i])
             t = t[:n]
-        # a curve whose B_lo crosses all of [b_min, b_max] inside one cell has no feasible
-        # grid point: that cell holds two corners, at b_max and at b_min
-        jump = ~live & curve & (b[:, n - 1] < opts.b_min)
-        if jump.any():
-            cross = np.maximum((b[:, :n] > opts.b_max).sum(axis=1) - 1, 0)
-            jump &= b[m, np.minimum(cross + 1, n - 1)] < opts.b_min
-            i, j, jj = (np.where(jump, cross + d, v) for d, v in ((0, i), (0, j), (1, jj)))
-            done &= ~jump
         sub_lo, sub_hi = x[m, j], x[m, jj]
         if pricing:
             # a priced row ends at a corner that neither point beside it nor an earlier pass
-            # beats; else it zooms the sub-piece, between corners, that holds its best point
-            c, p = corners[q], best[2, q, None]
-            sub_lo[priced] = np.max(np.where(c < p, c, lo[q, None]), axis=1)
-            sub_hi[priced] = np.min(np.where(c > p, c, hi[q, None]), axis=1)
-            done[priced] = ~live[priced] | ((i[priced] % 3 == 0)
-                                            & (rates[priced, i[priced]] == best[0, q]))
-            at_corner[q] = False
+            # beats; else it zooms the sub-piece, beside the corner, that holds its best point
+            c, p = corners[q], best[2, q]
+            sub_lo[priced] = np.where(c < p, c, lo[q])
+            sub_hi[priced] = np.where(c > p, c, hi[q])
+            done[priced] = (i[priced] == 0) & (rates[priced, 0] == best[0, q])
+            corners[q] = np.nan
         lo[rows], hi[rows] = sub_lo, sub_hi
-        kink = ~(done | smooth | priced)
-        if kink.any():
-            # a cell beside the best point where the binding cap changes, or where B_lo
-            # leaves [b_min, b_max], holds a corner: solve for it, to price it in the next pass
-            kink = np.flatnonzero(kink)
-            jumps = jump[kink]
-            a, z = (np.where(jumps, v[kink], np.stack(c)[:, kink])
-                    for v, c in ((j, (j, i)), (jj, (i, jj))))
-            fa, fz = feasible[kink, a], feasible[kink, z]
-            switch = fa & fz & (binding[kink, a] != binding[kink, z])
-            cut = switch | (fa != fz) | jumps
-            side, r = np.nonzero(cut)
-            below = np.fmin(b[kink, a], b[kink, z]) < opts.b_min
-            edge = np.where(jumps, np.array([[opts.b_max], [opts.b_min]]),
-                            np.where(below, opts.b_min, opts.b_max))
-            sign = np.where(switch & binding[kink, a], -1.0, 1.0)
-            corners[rows[kink]] = np.nan
-            corners[rows[kink[r]], side] = corner(
-                *(v[cut][:, None] for v in (x[kink, a], x[kink, z])), owner[kink[r]],
-                *(v[cut][:, None] for v in (switch, sign, edge)))
-            at_corner[rows[kink]] = True
+        kink = np.flatnonzero(~(done | smooth | priced))
+        if kink.size:
+            # the cell beside the best point where the binding cap changes holds a corner:
+            # solve for it, to price it in the next pass
+            left = binding[kink, j[kink]] != binding[kink, i[kink]]
+            cell = np.where(left, [j[kink], i[kink]], [i[kink], jj[kink]])
+            corners[rows[kink]] = corner(x[kink[:, None], cell.T], owner[kink])
         rows = rows[~done]
     out = np.where(best[0, k:] > best[0, :k], best[:, k:], best[:, :k])
     return tuple(np.where(out[0] > -np.inf, out, np.nan))

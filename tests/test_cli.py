@@ -261,6 +261,10 @@ def test_parse_quantity_rejects_garbage():
         parse_quantity("fast", "frequency")
     with pytest.raises(ConfigError):
         parse_quantity("3kg", "length")
+    # the pattern admits these; float() rejects them, and the message names the kind
+    for text in ("1.2.3GHz", "1e", ".", "--5deg"):
+        with pytest.raises(ConfigError, match=r"cannot parse '.*' as a (frequency|angle)"):
+            parse_quantity(text, "angle" if text.endswith("deg") else "frequency")
 
 
 # ---------------------------------------------------------------------- CLI

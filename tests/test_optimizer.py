@@ -27,6 +27,7 @@ from adrdesign import (
     rmax_vs_fovmin,
     unified_boundary,
 )
+from adrdesign import adr
 from adrdesign.adr import PRESETS, AdrConfig, fov_cap, fov_valid
 from adrdesign.link import _rate_raw
 from adrdesign.optimizer import _invert_boundary_grid, _unified_grid
@@ -665,6 +666,61 @@ def test_a_feasible_stretch_inside_one_cell_is_found(ctx10):
     assert coarse == pytest.approx(fine, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid_points", [64, 400])
+def test_every_priced_point_is_feasible(ctx10, monkeypatch, grid_points):
+    # the curve's bracket is cut to where B_lo lies in [b_min, b_max] before the
+    # search, so the kernel only ever sees feasible points of the lower edge: B in
+    # the range, FOV in [fov_min, cap], height and area on or under their caps, and
+    # FOV = fov_min (the segment) or B = B_lo(FOV) (the curve), each to rounding at
+    # a solved end. The batch holds fov_min = 1e-200, where the coefficients
+    # overflow, a curve that starts above b_max, one that ends below b_min, a
+    # stretch inside one 64-point cell, a binding switch and an unreachable cap
+    sets = [(preset("config1", truncation=TRUNC), FOV30, 0.005, 0.5e-4),
+            (preset("config1"), math.radians(2), 0.005, 0.5e-4),
+            (preset("config2"), 1e-200, 0.01, 2e-4),
+            (preset("config5"), math.radians(10), 0.02, 4e-4),
+            (AdrConfig(n_tier=0, n_pd=1, truncation=TRUNC), 1e-200, 0.02, 1.0),
+            (preset("config3"), math.radians(20), 1.0, 1.0),
+            (preset("config4"), math.radians(20), 1e-6, 4e-4)]
+    # a k_pd of its own tells each set's rows apart in the kernel's receiver columns
+    cfgs = [replace(c, k_pd=c.k_pd * (1 + s / 64)) for s, (c, *_) in enumerate(sets)]
+    k_pd = np.array([c.k_pd for c in cfgs])
+    fov_min, l_max, a_max = (np.array(v) for v in list(zip(*sets))[1:])
+    opts = SolverOptions(grid_points=grid_points)
+    priced = []
+    original = optimizer._rate_raw
+
+    def checking(rcv, ctx, b, fov):
+        owner = np.nonzero(rcv.k_pd == k_pd)[1]
+        assert owner.size == len(b)
+        priced.extend(owner)
+        for s, b_row, fov_row in zip(owner, b, fov):
+            cfg, theta = cfgs[s], adr._theta(cfgs[s].n_tier, fov_row)
+            assert np.all((b_row >= opts.b_min) & (b_row <= opts.b_max))
+            assert np.all((fov_row >= fov_min[s]) & (fov_row <= fov_cap(cfg.n_tier)))
+            assert np.all(adr._height(cfg, b_row, theta) <= l_max[s] * (1 + 1e-12))
+            assert np.all(adr._top_area(cfg, b_row, theta) <= a_max[s] * (1 + 1e-12))
+            b_edge = np.maximum(optimizer._boundary(cfg, "height", fov_row, l_max[s]),
+                                optimizer._boundary(cfg, "area", fov_row, a_max[s]))
+            assert np.all((fov_row == fov_min[s]) | (np.abs(b_row / b_edge - 1) <= 1e-12))
+        return original(rcv, ctx, b, fov)
+
+    monkeypatch.setattr(optimizer, "_rate_raw", checking)
+    rate = optimizer._solve(cfgs, ctx10, fov_min, l_max, a_max, opts)[0]
+    assert set(priced) == set(range(len(sets) - 1))  # the unreachable cap prices nothing
+    assert np.array_equal(np.isnan(rate), np.arange(len(sets)) == len(sets) - 1)
+
+
+def test_rmax_is_flat_below_the_curve_start(ctx16):
+    # under SCD caps B_lo(15 deg) = 32 GHz lies above b_max, so every fov_min
+    # below 15 deg has the same feasible region, and the search the same bracket
+    cfg, opts = preset("config1"), SolverOptions(grid_points=400)
+    assert dimension_boundary(cfg, "height", math.radians(15), 0.005) > opts.b_max
+    got = {np.array(optimizer._solve(cfg, ctx16, math.radians(d), 0.005, 0.5e-4, opts)).tobytes()
+           for d in (2, 5, 10, 15)}
+    assert len(got) == 1
+
+
 # Receivers of the mixed batches: every preset plus tier-0 arrays of 1, 4 and 16
 # PDs, whose 30 deg FOV cap sits below the others' 90 deg.
 _RECEIVERS = [*PRESETS.values(), *(AdrConfig(n_tier=0, n_pd=n) for n in (1, 4, 16))]
@@ -798,16 +854,24 @@ def _zoom_oracle(cfg, ctx, fov_min, l_max, a_max, opts):
 @given(_mixed_batches(), st.booleans())
 def test_search_equals_the_zoom_oracle(batch, one_receiver):
     # the certified ends and the corners solved in closed form give what the zoom
-    # would have: the same infeasible sets and R* within 1e-12, one receiver for
-    # the whole batch or one per set. A corner root lands within rounding of the
-    # kink that the zoom narrows on to, so R* can move in its last digits.
+    # would have: a point wherever the zoom finds one, with R* within 1e-12, one
+    # receiver for the whole batch or one per set. A corner root lands within
+    # rounding of the kink that the zoom narrows on to, so R* can move in its last
+    # digits. The zoom misses a feasible stretch that lies inside one of its grid
+    # cells, which the search finds: there the search's point must be feasible.
+    # test_every_optimum_is_certified pins NaN to exactly the infeasible sets.
     cfgs, ctx, fov_min, l_max, a_max, opts = batch
     cfg = cfgs[0] if one_receiver else cfgs
-    got = optimizer._solve(cfg, ctx, fov_min, l_max, a_max, opts)[0]
+    got, b, fov = optimizer._solve(cfg, ctx, fov_min, l_max, a_max, opts)
     want = _zoom_oracle(cfg, ctx, fov_min, l_max, a_max, opts)[0]
-    assert np.array_equal(np.isnan(got), np.isnan(want))
     on = ~np.isnan(want)
+    assert not np.isnan(got[on]).any()
     assert np.all(np.abs(got[on] - want[on]) <= 1e-12 * want[on])
+    for s in np.flatnonzero(~on & ~np.isnan(got)):
+        geo = geometry(cfgs[0] if one_receiver else cfgs[s], b[s], fov[s])
+        assert opts.b_min <= b[s] <= opts.b_max and fov[s] >= fov_min[s]
+        assert l_max is None or geo.height <= l_max[s] * (1 + 1e-12)
+        assert a_max is None or geo.top_area <= a_max[s] * (1 + 1e-12)
 
 
 def test_search_is_within_1e_12_of_a_fine_solve():
