@@ -77,10 +77,10 @@ class AdrConfig:
     truncation: Optional[TruncationSpec] = None
 
     def __post_init__(self):
-        if self.n_tier < 0 or int(self.n_tier) != self.n_tier:
+        # the range comes first: int() and sqrt() raise their own errors outside it
+        if not 0 <= self.n_tier < math.inf or int(self.n_tier) != self.n_tier:
             raise ValueError(f"n_tier must be a non-negative integer, got {self.n_tier}")
-        root = int(round(math.sqrt(self.n_pd)))
-        if self.n_pd < 1 or root * root != self.n_pd:
+        if not 1 <= self.n_pd < math.inf or round(math.sqrt(self.n_pd)) ** 2 != self.n_pd:
             raise ValueError(f"n_pd must be a perfect square >= 1, got {self.n_pd}")
         if not 0 < self.fill_factor <= 1:
             raise ValueError(f"fill_factor must be in (0, 1], got {self.fill_factor}")

@@ -137,7 +137,11 @@ def transform_through_lens(beam: SourceBeam, lens: LensSpec) -> PropagatedBeam:
     z_r = rayleigh_range(beam.waist_radius, beam.wavelength, beam.medium_index)
     d = lens.waist_to_lens_distance
     f = lens.focal_length
-    mag = f / math.sqrt((d - f) ** 2 + z_r**2)
+    try:
+        mag = f / math.sqrt((d - f) ** 2 + z_r**2)
+    except OverflowError:  # float ** raises where numpy would return inf
+        raise ValueError(f"waist-to-lens distance {d:g} m and focal length {f:g} m overflow "
+                         f"the lens magnification") from None
     return PropagatedBeam(
         waist_radius=mag * beam.waist_radius,
         rayleigh_range=mag**2 * z_r,

@@ -256,16 +256,18 @@ def parse_quantity(text: str, kind: str) -> float:
     deg for angles, mW for power, SI for lengths and areas.
     """
     match = _QUANTITY_RE.match(str(text))
+    article = "an" if kind[0] in "aeiou" else "a"
     try:  # float() also rejects what the pattern admits but is no number: '1.2.3', '1e', '.'
         value = float(match.group(1) if match else "")
     except ValueError:
-        raise ConfigError(f"cannot parse {text!r} as a {kind}") from None
+        raise ConfigError(f"cannot parse {text!r} as {article} {kind}") from None
     suffix = match.group(2).lower()
-    if not suffix:
-        return value * _BARE_UNIT[kind]
     table = _UNIT_TABLE[kind]
-    if suffix not in table:
+    if suffix and suffix not in table:
         raise ConfigError(
             f"unknown {kind} unit {suffix!r} in {text!r}; expected one of {sorted(table)}"
         )
-    return value * table[suffix]
+    value *= table[suffix] if suffix else _BARE_UNIT[kind]
+    if math.isinf(value):
+        raise ConfigError(f"{text!r} is too large for {article} {kind}")
+    return value

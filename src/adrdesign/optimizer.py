@@ -5,12 +5,12 @@ the optimum sits on the lower edge of the feasible region. Both dimension
 boundaries are explicit in FOV, B_h = h(theta) / l_max and
 B_a = sqrt(a(theta) / a_max), so the edge is the segment FOV = fov_min and
 the curve B = B_lo(FOV) = max(B_h, B_a)(FOV). The search zooms a grid along
-each piece, batched over many constraint sets, and solves for each corner of
-the curve and each end where B_lo leaves [b_min, b_max]. The inverse
-f_fov(B) = max(fov_min, B_h^-1(B), B_a^-1(B)), bracketed on a tabulated FOV
-grid and refined by secant steps, serves the boundary trace, feasible-region
-masks and callers. Complex steps through the same kernels give the corner
-steps their slopes and give the partial derivatives that serve verification.
+each piece, batched over many constraint sets. One bracketed root finder,
+Newton steps on log FOV with complex-step slopes, solves for each corner of
+the curve, each end where B_lo leaves [b_min, b_max], and the inverse
+f_fov(B) = max(fov_min, B_h^-1(B), B_a^-1(B)) that serves the boundary trace,
+feasible-region masks and callers. Complex steps through the same kernels
+also give the partial derivatives that serve verification.
 """
 
 from __future__ import annotations
@@ -114,6 +114,7 @@ class RateGradients:
 # Each dimension is coeff(theta) / B^power: height h(theta) / B, top area
 # a(theta) / B^2. Its boundary is B = (coeff(theta) / bound)^(1 / power).
 _DIMENSIONS = {"height": (adr._height_coeff, 1), "area": (adr._area_coeff, 2)}
+_FOV_FLOOR = 1e-9  # the lower end of the scalar inverse
 
 
 def _boundary(cfg: AdrConfig, which: str, fov, bound: float):
@@ -140,68 +141,59 @@ def dimension_boundary(cfg: AdrConfig, which: str, fov: float, bound: float) -> 
     return b
 
 
-# Geometric FOV table that brackets each inverse, fine enough that log-log
-# interpolation starts within ~1e-4 of the root; the secant steps after it
-# reach float precision.
-_FOV_FLOOR = 1e-9
-_TABLE_POINTS = 512
-_SECANT_STEPS = 4
+def _boundary_root(rcv, caps, f, edge=None, g=None):
+    """FOV inside each bracket f (rows of two FOVs) where B_lo, the larger boundary of the
+    (dimension, bound) pairs caps, falls to edge (a column), or where the binding cap of two
+    changes (edge None). rcv is the receiver, or its constants as columns, one row per
+    bracket. g, the log residual at f, saves evaluating it. From the chord of the log
+    residual, Newton steps on log FOV with slopes by complex step; a step out of the
+    bracket bisects it, and a root stops after a step below 1e-8, which leaves an error of
+    the order of its square."""
+    def residual(f):  # log(B_lo / edge), or log(B_h / B_a) at a switch
+        each = [_boundary(rcv, w, f, bound) for w, bound in caps]
+        h, a = each[0], each[-1]
+        return np.log(h / a if edge is None else np.where(h.real >= a.real, h, a) / edge)
 
-
-def _invert_boundary_grid(cfg: AdrConfig, which: str, b, bound: float) -> np.ndarray:
-    """Vectorised inverse of a boundary function, exact to float precision.
-
-    Returns the FOV on the boundary for each bandwidth, +inf where the
-    bandwidth lies below the boundary image (bound violated at every FOV),
-    and the 1e-9 FOV floor where the bound holds even there. The root of
-    coeff(theta) = bound * B^power is bracketed on a geometric FOV table,
-    started by log-log interpolation inside the bracket and refined by
-    secant steps on log coeff against log FOV, clipped to the bracket.
-    """
-    coeff, power = _DIMENSIONS[which]
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    target = bound * b**power
-    fov_tab = np.geomspace(_FOV_FLOOR, fov_cap(cfg.n_tier), _TABLE_POINTS)
-    coeff_tab = coeff(cfg, adr._theta(cfg.n_tier, fov_tab))
-    below_image = coeff_tab[-1] > target
-    x_tab, g_tab = np.log(fov_tab), np.log(coeff_tab)  # g_tab strictly decreasing
-    log_target = np.log(target)
-    j = np.clip(np.searchsorted(-g_tab, -log_target), 1, _TABLE_POINTS - 1)
-    x_lo, x_hi = x_tab[j - 1], x_tab[j]
-    # from the bracket's lower end along its chord, the first step is the
-    # log-log interpolation; each later one is a secant step
-    x, r = x_lo, g_tab[j - 1] - log_target
-    slope = (g_tab[j] - g_tab[j - 1]) / (x_hi - x_lo)
-    for _ in range(1 + _SECANT_STEPS):
-        x_new = np.clip(x - r / slope, x_lo, x_hi)
-        r_new = np.log(coeff(cfg, adr._theta(cfg.n_tier, np.exp(x_new))) / target)
-        dx, dr = x_new - x, r_new - r
-        descending = dx * dr < 0  # a usable secant: the residual falls as x rises
-        slope = np.where(descending, dr / np.where(descending, dx, 1.0), slope)
-        x, r = x_new, r_new
-    return np.where(below_image, np.inf, np.exp(x))
+    with np.errstate(all="ignore"):  # a tiny FOV overflows the coefficients: NaN, left
+        g = residual(f) if g is None else g
+        sign = np.where(g[:, :1] > g[:, 1:], 1.0, -1.0)  # the residual, signed, falls across f
+        f0, f1 = f[:, :1], f[:, 1:]
+        t = g[:, :1] / (g[:, :1] - g[:, 1:])
+        f, go = f0 * (f1 / f0) ** np.where((t > 0) & (t < 1), t, 0.5), True
+        while np.any(go):
+            g = sign * residual(f * (1 + 1e-20j))
+            left = ~(g.real <= 0)
+            f0, f1 = np.where(left, f, f0), np.where(left, f1, f)
+            du = g.real * 1e-20 / g.imag
+            step, last = f * np.exp(-du), np.abs(du) < 1e-8
+            f = np.where(go, np.where(last | (step > f0) & (step < f1), step,
+                                      f0 * np.sqrt(f1 / f0)), f)
+            go &= ~last & (f1 - f0 > 1e-15 * f1)  # or the cell closes on float resolution
+    return f[:, 0]
 
 
 def invert_dimension_boundary(cfg: AdrConfig, which: str, bandwidth: float,
                               bound: float) -> float:
     """Unique FOV with dimension_boundary(cfg, which, FOV, bound) == bandwidth.
 
-    Bracketed secant inverse of the strictly decreasing boundary; the
-    residual |f(FOV) - B| / B must come out below 1e-10. Raises
+    One bracketed root of the strictly decreasing boundary on [1e-9 rad, FOV
+    cap]; the residual |f(FOV) - B| / B must come out below 1e-10. Raises
     BoundaryOutOfRange when the bandwidth is below the boundary image, and
     ValueError when it is above the image down to the 1e-9 rad FOV floor or
     when the bound is so small that the boundary overflows there.
     """
     require_positive("bandwidth", bandwidth)
-    if bandwidth > dimension_boundary(cfg, which, _FOV_FLOOR, bound):
+    ends = np.array([[_FOV_FLOOR, fov_cap(cfg.n_tier)]])
+    b_floor, b_cap = (dimension_boundary(cfg, which, fov, bound) for fov in ends[0])
+    if bandwidth > b_floor:
         raise ValueError(f"at {bandwidth / 1e9:.4g} GHz the {which} stays under its bound "
                          f"{bound:g} at every FOV down to the {_FOV_FLOOR:g} rad floor")
-    fov = float(_invert_boundary_grid(cfg, which, bandwidth, bound)[0])
-    if not math.isfinite(fov):
+    if bandwidth < b_cap:
         raise BoundaryOutOfRange(
             f"bandwidth {bandwidth / 1e9:.4g} GHz is below the {which} boundary for "
             f"bound {bound:g}; the bound is violated at every admissible FOV"
         )
+    fov = float(_boundary_root(cfg, [(which, bound)], ends, bandwidth)[0])
     residual = abs(dimension_boundary(cfg, which, fov, bound) - bandwidth) / bandwidth
     if residual > 1e-10:
         raise RuntimeError(f"boundary inverse failed to converge, residual {residual:.3e}")
@@ -209,18 +201,18 @@ def invert_dimension_boundary(cfg: AdrConfig, which: str, bandwidth: float,
 
 
 def _unified_grid(cfg: AdrConfig, cs: ConstraintSet, b) -> np.ndarray:
-    """f_fov over positive bandwidths (+inf: infeasible). Only those in [B_lo(cap), B_lo(fov_min)),
-    widened by 1e-9, are inverted: +inf below, fov_min above when fov_min clears the 1e-9 floor."""
+    """f_fov over positive bandwidths (+inf: infeasible): +inf below B_lo(cap), fov_min at or
+    above B_lo(fov_min), and between them the root of B_lo(FOV) = B on [fov_min, cap]."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
     caps = [(w, v) for w, v in (("height", cs.l_max), ("area", cs.a_max)) if v is not None]
-    with np.errstate(over="ignore"):  # a tiny fov_min needs B = inf
-        lo, hi = (max((_boundary(cfg, w, fov, v) for w, v in caps), default=0.0)
-                  for fov in (fov_cap(cfg.n_tier), cs.fov_min))
-    below = b < lo * (1 - 1e-9)
-    on = ~below & ~((b >= hi * (1 + 1e-9)) & (cs.fov_min > _FOV_FLOOR * (1 + 1e-9)))
-    out = np.where(below, np.inf, cs.fov_min)
-    for which, bound in caps:
-        out[on] = np.maximum(out[on], _invert_boundary_grid(cfg, which, b[on], bound))
+    ends = np.array([cs.fov_min, fov_cap(cfg.n_tier)])
+    with np.errstate(over="ignore"):  # B_lo at both ends; a tiny fov_min needs B = inf
+        b_ends = np.max([_boundary(cfg, w, ends, v) for w, v in caps] or [np.zeros(2)], axis=0)
+    out = np.where(b < b_ends[1], np.inf, cs.fov_min)
+    on = np.flatnonzero((b >= b_ends[1]) & (b < b_ends[0]))
+    if on.size:
+        out[on] = _boundary_root(cfg, caps, np.broadcast_to(ends, (on.size, 2)), b[on, None],
+                                 np.log(b_ends / b[on, None]))
     return np.where(fov_valid(cfg.n_tier, out), out, np.inf)
 
 
@@ -323,33 +315,8 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
         return np.maximum(each[0], each[-1]), each[-1] > each[0]
 
     def corner(f, owner, edge=None, g=None):
-        """FOV inside each bracket f (rows of two FOVs) where B_lo falls to edge (a column), or
-        where the binding cap changes (edge None). g, the log residual at f, saves evaluating
-        it. From the chord of the log residual, Newton steps on log FOV with slopes by complex
-        step; a step out of the bracket bisects it, and a root stops after a step below 1e-8,
-        which leaves an error of the order of its square."""
-        rcv, caps = receivers(owner), [(w, bound[owner]) for w, bound in (bounds[0], bounds[-1])]
-
-        def residual(f):  # log(B_lo / edge), or log(B_h / B_a) at a switch
-            h, a = (_boundary(rcv, w, f, bound) for w, bound in caps)
-            return np.log(h / a if edge is None else np.where(h.real >= a.real, h, a) / edge)
-
-        with np.errstate(all="ignore"):  # a tiny FOV overflows the coefficients: NaN, left
-            g = residual(f) if g is None else g
-            sign = np.where(g[:, :1] > 0, 1.0, -1.0)  # the residual, signed, falls across f
-            f0, f1 = f[:, :1], f[:, 1:]
-            t = g[:, :1] / (g[:, :1] - g[:, 1:])
-            f, go = f0 * (f1 / f0) ** np.where((t > 0) & (t < 1), t, 0.5), True
-            while np.any(go):
-                g = sign * residual(f * (1 + 1e-20j))
-                left = ~(g.real <= 0)
-                f0, f1 = np.where(left, f, f0), np.where(left, f1, f)
-                du = g.real * 1e-20 / g.imag
-                step, last = f * np.exp(-du), np.abs(du) < 1e-8
-                f = np.where(go, np.where(last | (step > f0) & (step < f1), step,
-                                          f0 * np.sqrt(f1 / f0)), f)
-                go &= ~last & (f1 - f0 > 1e-15 * f1)  # or the cell closes on float resolution
-        return f[:, 0]
+        return _boundary_root(receivers(owner), [(w, bound[owner]) for w, bound in bounds],
+                              f, edge, g)
 
     # rows 0..k-1 are the segments, rows k..2k-1 the curves of the same sets
     ends = np.column_stack([fov_min, np.maximum(fov_min, fov_cap(n_tier))])  # ends of each curve

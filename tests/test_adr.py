@@ -242,3 +242,13 @@ def test_config_validation():
         AdrConfig(n_tier=1, n_pd=4, fill_factor=0.0)
     with pytest.raises(ValueError):
         AdrConfig(n_tier=1, n_pd=4, k_pd=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -4])
+def test_config_messages_name_the_count(bad):
+    # NaN and inf ended in int()'s "cannot convert float NaN to integer", and a
+    # negative n_pd in sqrt()'s "math domain error"
+    with pytest.raises(ValueError, match="^n_tier must be a non-negative integer"):
+        AdrConfig(n_tier=bad, n_pd=4)
+    with pytest.raises(ValueError, match="^n_pd must be a perfect square"):
+        AdrConfig(n_tier=1, n_pd=bad)

@@ -108,6 +108,19 @@ def test_none_rejected_for_keys_with_a_value_default(tmp_path, capsys, ini, key)
     assert load_config(str(path)).adr_config() == load_config(None).adr_config()
 
 
+@pytest.mark.parametrize("key", ["lens_d_mm", "lens_f_mm"])
+def test_overflowing_lens_is_an_error_line(tmp_path, capsys, key):
+    # (d - f)^2 overflowed in the lens transform and ended in an OverflowError traceback
+    path = tmp_path / "lens.ini"
+    path.write_text(f"[beam]\n{key} = 1e300\n")
+    rc = main(["design", "--config", str(path), "--b", "2.1GHz", "--fov", "30deg",
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: waist-to-lens distance") and err.count("\n") == 1
+    assert "Traceback" not in err and not (tmp_path / "design_summary.json").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     (("adr", "fill_factor"), None),
     (("beam", "pt_mw"), "12"),
@@ -263,8 +276,13 @@ def test_parse_quantity_rejects_garbage():
         parse_quantity("3kg", "length")
     # the pattern admits these; float() rejects them, and the message names the kind
     for text in ("1.2.3GHz", "1e", ".", "--5deg"):
-        with pytest.raises(ConfigError, match=r"cannot parse '.*' as a (frequency|angle)"):
+        with pytest.raises(ConfigError, match=r"cannot parse '.*' as (a frequency|an angle)"):
             parse_quantity(text, "angle" if text.endswith("deg") else "frequency")
+    # a number that overflows, as written or once scaled by its unit, is no quantity
+    for text, kind in (("1e400GHz", "frequency"), ("1e308GHz", "frequency"),
+                       ("1e400", "area"), ("-1e400deg", "angle")):
+        with pytest.raises(ConfigError, match=rf"too large for an? {kind}"):
+            parse_quantity(text, kind)
 
 
 # ---------------------------------------------------------------------- CLI

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -30,7 +31,7 @@ from adrdesign import (
 from adrdesign import adr
 from adrdesign.adr import PRESETS, AdrConfig, fov_cap, fov_valid
 from adrdesign.link import _rate_raw
-from adrdesign.optimizer import _invert_boundary_grid, _unified_grid
+from adrdesign.optimizer import _unified_grid
 
 FOV30 = math.radians(30.0)
 TRUNC = TruncationSpec(0.6, 0.9)
@@ -107,6 +108,23 @@ def test_below_image_signals_out_of_range():
         invert_dimension_boundary(cfg, "height", 0.5 * floor, 0.01)
 
 
+def test_inverse_at_the_ends_of_its_range():
+    # a bandwidth exactly on the boundary at the 1e-9 rad floor or at the cap is
+    # its own root; one a float step past either end has none
+    for cfg in (preset("config1"), preset("config6", truncation=TRUNC)):
+        for which, bound in (("height", 0.01), ("area", 2e-4)):
+            for fov in (1e-9, float(fov_cap(cfg.n_tier))):
+                b = dimension_boundary(cfg, which, fov, bound)
+                assert invert_dimension_boundary(cfg, which, b, bound) == pytest.approx(
+                    fov, rel=1e-15, abs=0)
+            with pytest.raises(ValueError, match="rad floor"):
+                invert_dimension_boundary(cfg, which, math.nextafter(
+                    dimension_boundary(cfg, which, 1e-9, bound), math.inf), bound)
+            with pytest.raises(BoundaryOutOfRange):
+                invert_dimension_boundary(cfg, which, math.nextafter(
+                    dimension_boundary(cfg, which, fov, bound), 0), bound)
+
+
 def test_boundaries_reject_non_finite_input():
     cfg = preset("config1")
     cs = ConstraintSet(fov_min=FOV30, l_max=0.01)
@@ -154,6 +172,12 @@ def _bisection_inverse(cfg, which, b, bound, iters=110):
 ALL_PRESETS = ("config1", "config2", "config3", "config4", "config5", "config6")
 
 
+def _inverse(cfg, which, b, bound):
+    """The vectorised inverse of one boundary on [1e-9 rad, cap]: f_fov of that cap alone."""
+    caps = {"l_max": bound} if which == "height" else {"a_max": bound}
+    return _unified_grid(cfg, ConstraintSet(1e-9, **caps), b)
+
+
 def _random_any_cfg(rng):
     """Any preset, tier 0 included, with or without truncated CPCs."""
     cfg = preset(str(rng.choice(ALL_PRESETS)), truncation=TRUNC if rng.random() < 0.5 else None)
@@ -174,7 +198,7 @@ def test_inverse_matches_bisection_oracle(rng):
         target = np.exp(rng.uniform(math.log(bottom) - 3, math.log(top) + 3, 500))
         bound = float(np.median(target / np.geomspace(0.1e9, 20e9, 500) ** power))
         b = (target / bound) ** (1.0 / power)
-        new = _invert_boundary_grid(cfg, which, b, bound)
+        new = _inverse(cfg, which, b, bound)
         old = _bisection_inverse(cfg, which, b, bound)
         assert np.array_equal(np.isinf(new), np.isinf(old))
         finite = np.isfinite(old)
@@ -197,7 +221,7 @@ def test_inverse_warning_free_at_domain_edges():
                     scaled = bound * scale**power
                     with warnings.catch_warnings(), np.errstate(all="raise"):
                         warnings.simplefilter("error")
-                        new = _invert_boundary_grid(cfg, which, b, scaled)
+                        new = _inverse(cfg, which, b, scaled)
                     old = _bisection_inverse(cfg, which, b, scaled)
                     assert np.array_equal(np.isinf(new), np.isinf(old))
                     finite = np.isfinite(old)
@@ -260,16 +284,27 @@ def test_unified_infeasible_is_a_value_not_an_error():
     assert unified_boundary(cfg, cs, 1e9) == math.inf
 
 
-def _full_grid_oracle(cfg, cs, b):
-    """optimizer._unified_grid before it inverted only the curve's bandwidths,
-    its body copied unchanged: every bandwidth through both inverses."""
+def _bisection_unified(cfg, cs, b, steps=80):
+    """f_fov by geometric bisection of B_lo(FOV) <= B on [fov_min, cap], where B_lo is the
+    larger of the set's cap boundaries: +inf where even the cap breaks a cap, fov_min where
+    fov_min meets them, and else the least feasible FOV to within an ulp."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    out = np.full(b.shape, cs.fov_min)
-    if cs.l_max is not None:
-        out = np.maximum(out, _invert_boundary_grid(cfg, "height", b, cs.l_max))
-    if cs.a_max is not None:
-        out = np.maximum(out, _invert_boundary_grid(cfg, "area", b, cs.a_max))
-    return np.where(fov_valid(cfg.n_tier, out), out, np.inf)
+    caps = [(w, v) for w, v in (("height", cs.l_max), ("area", cs.a_max)) if v is not None]
+
+    def feasible(fov):
+        with np.errstate(over="ignore"):  # a tiny FOV needs B = inf
+            b_lo = functools.reduce(np.maximum, (optimizer._boundary(cfg, w, fov, v)
+                                                 for w, v in caps), np.zeros(b.shape))
+        return b_lo <= b
+
+    lo, hi = np.full(b.shape, cs.fov_min), np.full(b.shape, float(fov_cap(cfg.n_tier)))
+    reachable = feasible(hi) & fov_valid(cfg.n_tier, cs.fov_min)
+    at_fov_min = feasible(lo)
+    for _ in range(steps):
+        mid = lo * np.sqrt(hi / lo)
+        ok = feasible(mid)
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+    return np.where(reachable, np.where(at_fov_min, cs.fov_min, hi), np.inf)
 
 
 @st.composite
@@ -304,28 +339,47 @@ def _boundary_sets(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_boundary_sets())
-def test_unified_grid_equals_the_full_grid_oracle(case):
-    # inverting only the bandwidths on the curve gives, bit for bit, what inverting
-    # every bandwidth gave; the inverse works element by element, so the one-bandwidth
-    # entry points read the same entries
+def test_unified_grid_matches_bisection_oracle(case):
+    # the root of B_lo(FOV) = B on [fov_min, cap] is the bisection's to 1e-12 relative,
+    # with the same +inf pattern, fov_min below 1e-9 rad included; the one-bandwidth
+    # entry points read the same root, and the scalar inverse roots on [1e-9 rad, cap]
     cfg, cs, b = case
-    want = _full_grid_oracle(cfg, cs, b)
-    assert _unified_grid(cfg, cs, b).tobytes() == want.tobytes()
+    want = _bisection_unified(cfg, cs, b)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _unified_grid(cfg, cs, b)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * want[finite])
     i = len(b) // 2
-    assert np.float64(unified_boundary(cfg, cs, float(b[i]))).tobytes() == want[i].tobytes()
+    assert unified_boundary(cfg, cs, float(b[i])) == pytest.approx(want[i], rel=1e-12, abs=0)
     for which, bound in (("height", cs.l_max), ("area", cs.a_max)):
         if not bound:
             continue
-        inverse = _invert_boundary_grid(cfg, which, b, bound)
+        inverse = _inverse(cfg, which, b[i], bound)[0]
         # the floor where the bound holds at the 1e-9 rad floor itself, else a root,
         # which can lie within 2e-9 rad
         at_floor = b[i] > optimizer._boundary(cfg, which, optimizer._FOV_FLOOR, bound)
-        if inverse[i] < math.inf and not at_floor:
-            assert invert_dimension_boundary(cfg, which, float(b[i]), bound) == inverse[i]
-        elif inverse[i] < math.inf:
+        if inverse < math.inf and not at_floor:
+            assert invert_dimension_boundary(cfg, which, float(b[i]), bound) == pytest.approx(
+                inverse, rel=1e-12, abs=0)
+        elif inverse < math.inf:
             with pytest.raises(ValueError, match="rad floor") as raised:
                 invert_dimension_boundary(cfg, which, float(b[i]), bound)
             assert not isinstance(raised.value, BoundaryOutOfRange)
+        else:
+            with pytest.raises(BoundaryOutOfRange):
+                invert_dimension_boundary(cfg, which, float(b[i]), bound)
+
+
+def test_tiny_fov_min_roots_below_the_scalar_inverse_floor():
+    # fov_min 1e-12 rad: the height boundary meets 1e28 Hz at 3.24e-11 rad, below
+    # the 1e-9 rad floor of the scalar inverse; at 1e-9 rad it is 1.05e25 Hz
+    cfg, cs = preset("config1"), ConstraintSet(1e-12, l_max=1.0)
+    fov = unified_boundary(cfg, cs, 1e28)
+    assert fov == pytest.approx(3.2363e-11, rel=1e-4)
+    assert dimension_boundary(cfg, "height", fov, 1.0) == pytest.approx(1e28, rel=1e-10)
+    assert dimension_boundary(cfg, "height", 1e-9, 1.0) == pytest.approx(1.05e25, rel=1e-2)
 
 
 # ------------------------------------------------------------------ solvers
@@ -533,9 +587,9 @@ def test_truncation_effect_on_optima(ctx16):
 
 def test_solver_matches_bisection_oracle(rng, monkeypatch):
     # the search never inverts a boundary, so it is checked against the former
-    # B-grid zoom run on the former bisection inverse: feasibility, active sets
+    # B-grid zoom run on a bisection f_fov: feasibility, active sets
     # and diagnostics identical, R* never lower by more than 1e-9 relative.
-    # The boundary trace does invert: the same bandwidths under both inverses,
+    # The boundary trace does invert: the same bandwidths under both f_fov,
     # FOV and rate to 1e-12 relative.
     contexts = _noise_contexts()
     feasible = 0
@@ -551,7 +605,7 @@ def test_solver_matches_bisection_oracle(rng, monkeypatch):
         opts = SolverOptions(grid_points=int(rng.choice([400, 2000])))
         new = maximize_rate_constrained(cfg, ctx, cs, opts)
         with monkeypatch.context() as m:
-            m.setattr(optimizer, "_invert_boundary_grid", _bisection_inverse)
+            m.setattr(optimizer, "_unified_grid", _bisection_unified)
             old_feasible, old_rate, old_active, old_diagnostic = _grid_zoom_oracle(
                 cfg, ctx, cs, opts)
             old_trace = maximize_rate_constrained(cfg, ctx, cs, opts).boundary_trace
@@ -574,7 +628,7 @@ def _grid_zoom_oracle(cfg, ctx, cs, opts):
     rate_star = -math.inf
     while True:
         b = np.geomspace(lo, hi, opts.grid_points)
-        fov = _unified_grid(cfg, cs, b)
+        fov = optimizer._unified_grid(cfg, cs, b)
         feasible = np.isfinite(fov)
         rates = np.full(b.shape, -np.inf)
         rates[feasible] = _rate_raw(cfg, ctx, b[feasible], fov[feasible])
