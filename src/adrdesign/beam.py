@@ -155,18 +155,18 @@ def beam_radius(beam: PropagatedBeam, z):
 
     ``z`` is measured from the waist, not from the lens; callers evaluating
     at a plane a distance D from the lens pass ``D - beam.waist_position``.
-    Accepts scalars or numpy arrays.
+    Accepts finite scalars or numpy arrays.
     """
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"z must be finite, got {z}")
     w = beam.waist_radius * np.sqrt(1.0 + (z / beam.rayleigh_range) ** 2)
     return float(w) if w.ndim == 0 else w
 
 
 def encircled_fraction(beam: PropagatedBeam, z, rho0):
-    """Fraction 1 - exp(-2 rho0^2 / w(z)^2) of the power inside a centred aperture."""
-    rho0 = np.asarray(rho0)
-    if np.any(rho0.real < 0):  # .real: analytic_gradients passes a complex step
-        raise ValueError("aperture radius rho0 must be >= 0")
+    """Fraction 1 - exp(-2 rho0^2 / w(z)^2) of the power inside a centred aperture;
+    array-capable, and rho0 unvalidated: the rate kernel passes complex steps."""
     w = beam_radius(beam, z)
     return 1.0 - np.exp(-2.0 * rho0**2 / np.asarray(w) ** 2)
 
@@ -181,12 +181,13 @@ def encircled_power(beam: PropagatedBeam, z, rho0):
     z:
         Axial distance from the transformed waist [m].
     rho0:
-        Aperture radius [m], must be >= 0.
+        Aperture radius [m], finite and >= 0.
 
     Returns
     -------
     float or ndarray
         P = P_total * (1 - exp(-2 rho0^2 / w(z)^2)) [W].
     """
+    require_at_least("rho0", rho0, 0)
     p = beam.power * encircled_fraction(beam, z, rho0)
     return float(p) if np.ndim(p) == 0 else p

@@ -70,7 +70,6 @@ DEFAULTS = {
         "b_min_ghz": 0.1,
         "b_max_ghz": 20.0,
         "grid_points": 2000,
-        "b_rel_tol": 1e-6,
     },
 }
 
@@ -131,7 +130,6 @@ class RunConfig:
             b_min=s["b_min_ghz"] * 1e9,
             b_max=s["b_max_ghz"] * 1e9,
             grid_points=s["grid_points"],
-            b_rel_tol=s["b_rel_tol"],
         )
 
     def effective_dict(self) -> dict:

@@ -135,15 +135,8 @@ def received_power(cfg: AdrConfig, bandwidth: float, fov: float,
     return float(_received_power_raw(cfg, beam, link, bandwidth, fov))
 
 
-def noise_psd(nm: NoiseModel, n_pd: int, received: float = 0.0,
-              responsivity: float = LinkParams.responsivity):
-    """Total noise PSD [A^2/Hz] referred to one PD-TIA chain times the array.
-
-    thermal_only: N0 = 4 kT / R_L * F_n * N_PD
-    full:         adds 2 q R P_r and, if RIN is set, RIN (R P_r)^2.
-    """
-    if np.any(np.asarray(n_pd) < 1):  # one count, or a column of them
-        raise ValueError(f"n_pd must be >= 1, got {n_pd}")
+def _noise_psd_raw(nm: NoiseModel, n_pd, received, responsivity):
+    """noise_psd, array-capable, no validation."""
     thermal = 4.0 * BOLTZMANN * nm.temperature / nm.load_resistance * nm.noise_figure * n_pd
     if nm.mode == "thermal_only":
         return thermal
@@ -151,6 +144,21 @@ def noise_psd(nm: NoiseModel, n_pd: int, received: float = 0.0,
     total = thermal + 2.0 * ELEMENTARY_CHARGE * photo
     if nm.rin is not None:
         total = total + nm.rin * photo**2
+    return total
+
+
+def noise_psd(nm: NoiseModel, n_pd: int, received: float = 0.0,
+              responsivity: float = LinkParams.responsivity):
+    """Total noise PSD [A^2/Hz] referred to one PD-TIA chain times the array.
+
+    thermal_only: N0 = 4 kT / R_L * F_n * N_PD
+    full:         adds 2 q R P_r and, if RIN is set, RIN (R P_r)^2.
+    received [W] is finite and >= 0, or an array of such powers.
+    """
+    if np.any(np.asarray(n_pd) < 1):  # one count, or a column of them
+        raise ValueError(f"n_pd must be >= 1, got {n_pd}")
+    require_at_least("received", received, 0)
+    total = _noise_psd_raw(nm, n_pd, received, responsivity)
     return float(total) if np.ndim(total) == 0 else total
 
 
@@ -160,8 +168,7 @@ def _budget_raw(cfg: AdrConfig, ctx: LinkContext, b, fov) -> tuple:
     SNR = (R P_r)^2 / (N0 B) at the EGC output; rate = B log2(1 + SNR / gap).
     """
     p_r = _received_power_raw(cfg, ctx.beam, ctx.link, b, fov)
-    n0 = noise_psd(ctx.noise, cfg.n_pd, p_r, ctx.link.responsivity)
-    b = np.asarray(b, dtype=float)
+    n0 = _noise_psd_raw(ctx.noise, cfg.n_pd, p_r, ctx.link.responsivity)
     snr = (ctx.link.responsivity * p_r) ** 2 / (n0 * b)
     return p_r, n0, snr, b * np.log2(1.0 + snr / ctx.link.snr_gap)
 

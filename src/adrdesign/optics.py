@@ -42,8 +42,9 @@ def require_positive(name: str, value) -> None:
 
 
 def require_at_least(name: str, value, floor: float) -> None:
-    """Reject a scalar input that is not finite or lies below floor (NaN passes `< floor`)."""
-    if not floor <= value < math.inf:
+    """Reject an input, scalar or array, that is not finite or lies below floor (NaN passes
+    `< floor`)."""
+    if not np.all((floor <= np.asarray(value)) & (np.asarray(value) < math.inf)):
         raise ValueError(f"{name} must be finite and >= {floor:g}, got {value}")
 
 

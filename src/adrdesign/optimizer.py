@@ -4,13 +4,13 @@ The rate falls with FOV and both receiver dimensions fall with B and FOV, so
 the optimum sits on the lower edge of the feasible region. Both dimension
 boundaries are explicit in FOV, B_h = h(theta) / l_max and
 B_a = sqrt(a(theta) / a_max), so the edge is the segment FOV = fov_min and
-the curve B = B_lo(FOV) = max(B_h, B_a)(FOV). The search zooms a grid along
-each piece, batched over many constraint sets. One bracketed root finder,
-Newton steps on log FOV with complex-step slopes, solves for each corner of
-the curve, each end where B_lo leaves [b_min, b_max], and the inverse
-f_fov(B) = max(fov_min, B_h^-1(B), B_a^-1(B)) that serves the boundary trace,
-feasible-region masks and callers. Complex steps through the same kernels
-also give the partial derivatives that serve verification.
+the curve B = B_lo(FOV) = max(B_h, B_a)(FOV). The search prices one grid
+along each piece, batched over many constraint sets, then solves beside its
+best point for the root of the rate's slope and for a corner of the curve.
+One bracketed root loop on log x, with complex-step slopes, serves these,
+each end where B_lo leaves [b_min, b_max], and the inverse f_fov(B) =
+max(fov_min, B_h^-1(B), B_a^-1(B)) of the boundary trace, feasible-region
+masks and callers. Complex steps also give the partials that serve verification.
 """
 
 from __future__ import annotations
@@ -72,16 +72,15 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Bandwidth search range [Hz], bandwidths evaluated per grid pass, and
-    the relative width of the final bracket around B*."""
+    """Bandwidth search range [Hz], and the points of the search's grid along
+    each edge piece, which are also the boundary trace's bandwidths."""
 
     b_min: float = 0.1e9
     b_max: float = 20e9
     grid_points: int = 2000
-    b_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("b_min", "b_max", "b_rel_tol"):
+        for name in ("b_min", "b_max"):
             require_positive(name, getattr(self, name))
         if not self.b_min < self.b_max:
             raise ValueError("need b_min < b_max")
@@ -141,35 +140,41 @@ def dimension_boundary(cfg: AdrConfig, which: str, fov: float, bound: float) -> 
     return b
 
 
+def _bracket_root(residual, f, g, step):
+    """x inside each bracket f (rows of two x > 0) where residual, g at f, changes sign: from
+    the chord of g, log x moves down by step(x, r, xp, rp), r the residual at x (1 + 1e-20j)
+    signed to fall across f, xp, rp the last point's. A step out of the bracket bisects it; a
+    root stops after a step below 1e-8, or once its bracket closes on float resolution."""
+    with np.errstate(all="ignore"):  # a tiny FOV overflows the coefficients: NaN, left
+        g = residual(f) if g is None else g
+        sign = np.where(g[:, :1] > g[:, 1:], 1.0, -1.0)
+        f0, f1 = f[:, :1], f[:, 1:]
+        xp, rp = f0, sign * g[:, :1]
+        t = g[:, :1] / (g[:, :1] - g[:, 1:])
+        f, go = f0 * (f1 / f0) ** np.where((t > 0) & (t < 1), t, 0.5), True
+        while np.any(go):
+            r = sign * residual(f * (1 + 1e-20j))
+            left = ~(r.real <= 0)
+            f0, f1 = np.where(left, f, f0), np.where(left, f1, f)
+            du, xp, rp = step(f, r, xp, rp), f, r
+            x, last = f * np.exp(-du), np.abs(du) < 1e-8
+            f = np.where(go, np.where(last | (x > f0) & (x < f1), x, f0 * np.sqrt(f1 / f0)), f)
+            go &= ~last & (f1 - f0 > 1e-15 * f1)
+    return f[:, 0]
+
+
 def _boundary_root(rcv, caps, f, edge=None, g=None):
     """FOV inside each bracket f (rows of two FOVs) where B_lo, the larger boundary of the
     (dimension, bound) pairs caps, falls to edge (a column), or where the binding cap of two
     changes (edge None). rcv is the receiver, or its constants as columns, one row per
-    bracket. g, the log residual at f, saves evaluating it. From the chord of the log
-    residual, Newton steps on log FOV with slopes by complex step; a step out of the
-    bracket bisects it, and a root stops after a step below 1e-8, which leaves an error of
-    the order of its square."""
+    bracket. g, the log residual at f, saves evaluating it. Newton steps leave an error of
+    the order of the last step's square."""
     def residual(f):  # log(B_lo / edge), or log(B_h / B_a) at a switch
         each = [_boundary(rcv, w, f, bound) for w, bound in caps]
         h, a = each[0], each[-1]
         return np.log(h / a if edge is None else np.where(h.real >= a.real, h, a) / edge)
 
-    with np.errstate(all="ignore"):  # a tiny FOV overflows the coefficients: NaN, left
-        g = residual(f) if g is None else g
-        sign = np.where(g[:, :1] > g[:, 1:], 1.0, -1.0)  # the residual, signed, falls across f
-        f0, f1 = f[:, :1], f[:, 1:]
-        t = g[:, :1] / (g[:, :1] - g[:, 1:])
-        f, go = f0 * (f1 / f0) ** np.where((t > 0) & (t < 1), t, 0.5), True
-        while np.any(go):
-            g = sign * residual(f * (1 + 1e-20j))
-            left = ~(g.real <= 0)
-            f0, f1 = np.where(left, f, f0), np.where(left, f1, f)
-            du = g.real * 1e-20 / g.imag
-            step, last = f * np.exp(-du), np.abs(du) < 1e-8
-            f = np.where(go, np.where(last | (step > f0) & (step < f1), step,
-                                      f0 * np.sqrt(f1 / f0)), f)
-            go &= ~last & (f1 - f0 > 1e-15 * f1)  # or the cell closes on float resolution
-    return f[:, 0]
+    return _bracket_root(residual, f, g, lambda x, r, *previous: r.real * 1e-20 / r.imag)
 
 
 def invert_dimension_boundary(cfg: AdrConfig, which: str, bandwidth: float,
@@ -269,23 +274,16 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
     """(rate, B, FOV) at the optimum of each of K constraint sets; NaN where infeasible.
 
     cfg is one AdrConfig for every set, or a sequence of K, one per set. l_max
-    and a_max hold K caps each, or are None for no cap. Each set zooms
+    and a_max hold K caps each, or are None for no cap. Each set searches
     the segment FOV = fov_min over B in [max(b_min, B_lo(fov_min)), b_max]
     and the curve B = B_lo(FOV) over the FOVs in [fov_min, cap] where B_lo
-    lies in [b_min, b_max], with one bracket per piece, and keeps the better.
-    The curve's bracket is set before the search: it starts at fov_min, or
-    where B_lo falls to b_max, and ends at the cap, or where B_lo falls to
-    b_min, so every point priced is feasible. A bracket stops once it spans
-    less than b_rel_tol in B or stops narrowing. A piece whose best
-    first-pass point is an end (exact: t = 0 gives lo, and hi is set) stops
-    there when its neighbour cell is smooth and the inner point beside that
-    end is no higher: the zoom would only come back to the same end. A cell
-    beside the best point where the binding cap changes holds a corner of
-    the curve, where a zoom's rate error is first order in its width: it is
-    solved for the corner instead. The next pass prices each corner with a
-    point just inside either side, and the piece ends there when neither
-    point nor an earlier pass beats it; else it zooms the smooth sub-piece
-    that holds its best point.
+    lies in [b_min, b_max] (solved before the search, so every point priced
+    is feasible), and keeps the better. One kernel call prices grid_points
+    geometric points along each piece. Its best point x_i splits the bracket
+    [x_i-1, x_i+1]; where the binding cap changes beside x_i, the corner
+    solved in that cell does. In each half the optimum is the root of the
+    slope dR/d(log x) where the slope falls from positive to negative, else
+    an end, so an optimum at a grid point or a corner is that point's rate.
     """
     fov_min = np.atleast_1d(np.asarray(fov_min, dtype=float))
     if fov_min.size:  # ConstraintSet checks each field on its own: its extremes check all sets
@@ -305,18 +303,29 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
     bounds = [(which, np.broadcast_to(np.asarray(bound, dtype=float), (k,))[:, None])
               for which, bound in (("height", l_max), ("area", a_max)) if bound is not None]
 
-    def b_lo(fov, owner):
-        """max(B_h, B_a) at each row of FOVs (0 without caps), and whether the second of two
-        caps binds; inf, far above b_max, where a tiny FOV overflows the coefficients."""
+    def b_lo(fov, owner, second=None):
+        """max(B_h, B_a) at each row of FOVs (0 without caps; inf where a tiny FOV overflows),
+        and whether the second of two caps binds, or is picked by the column second."""
         rcv = receivers(owner)
         with np.errstate(over="ignore"):
             each = [_boundary(rcv, which, fov, bound[owner])
                     for which, bound in bounds] or [np.zeros(fov.shape)]
-        return np.maximum(each[0], each[-1]), each[-1] > each[0]
+        second = each[-1] > each[0] if second is None else second
+        return np.where(second, each[-1], each[0]), second
 
     def corner(f, owner, edge=None, g=None):
         return _boundary_root(receivers(owner), [(w, bound[owner]) for w, bound in bounds],
                               f, edge, g)
+
+    def price(x, rows, second=None):
+        """Rate, B, FOV and binding cap at x along each row's piece (second as in b_lo)."""
+        owner, curve = rows % k, rows >= k
+        b, fov = x.copy(), np.where(curve[:, None], x, fov_min[owner, None])
+        binding = np.zeros(x.shape, dtype=bool)
+        b[curve], binding[curve] = b_lo(x[curve], owner[curve],
+                                        None if second is None else second[curve])
+        np.clip(b.real, opts.b_min, opts.b_max, out=b.real)  # the rounding of B_lo at an end
+        return _rate_raw(receivers(owner), ctx, b, fov), b, fov, binding
 
     # rows 0..k-1 are the segments, rows k..2k-1 the curves of the same sets
     ends = np.column_stack([fov_min, np.maximum(fov_min, fov_cap(n_tier))])  # ends of each curve
@@ -334,57 +343,39 @@ def _solve(cfg, ctx: LinkContext, fov_min, l_max, a_max, opts: SolverOptions) ->
     lo = np.concatenate([seg_lo, ends[:, 0]])
     hi = np.concatenate([np.full(k, opts.b_max), ends[:, 1]])
     best = np.full((3, 2 * k), -np.inf)  # rate, B, FOV of each piece
-    # FOV of the corner beside a curve's best point, to price in the next pass (NaN: none)
-    corners = np.full(2 * k, np.nan)
     rows = np.flatnonzero(np.concatenate([valid & (seg_lo <= opts.b_max), has_curve]))
-    # pass 1 adds an inner point just inside each end, at t = 1e-7 and 1 - 1e-7 (columns n, n + 1)
-    t = np.append(np.linspace(0.0, 1.0, n), [1e-7, 1.0 - 1e-7])
-    while rows.size:
-        # geometric grids from lo to hi, clipped so that brackets only shrink
-        x = np.minimum(lo[rows, None] * (hi[rows, None] / lo[rows, None]) ** t, hi[rows, None])
+    if rows.size:
+        # geometric grids from lo to hi (exact: t = 0 gives lo, and hi is set)
+        x = np.minimum(lo[rows, None] * (hi[rows, None] / lo[rows, None])
+                       ** np.linspace(0.0, 1.0, n), hi[rows, None])
         x[:, n - 1] = hi[rows]
-        owner, curve, m = rows % k, rows >= k, np.arange(rows.size)
-        priced = ~np.isnan(corners[rows])
-        pricing = priced.any()
-        if pricing:  # instead of a grid: the corner, and just beside it in columns 1-2
-            q = rows[priced]
-            x[priced] = corners[q, None]
-            x[priced, 1:3] *= (hi[q] / lo[q])[:, None] ** np.array([-1e-7, 1e-7])
-        b, fov = x.copy(), np.where(curve[:, None], x, fov_min[owner, None])
-        binding = np.zeros(x.shape, dtype=bool)
-        b[curve], binding[curve] = b_lo(x[curve], owner[curve])
-        b = np.clip(b, opts.b_min, opts.b_max)  # the rounding of B_lo at a solved end
-        rates = _rate_raw(receivers(owner), ctx, b, fov)
-        i = np.argmax(rates[:, :n], axis=1)
-        better = rates[m, i] > best[0, rows]
-        best[:, rows[better]] = np.stack([rates[m, i], b[m, i], fov[m, i]])[:, better]
+        rates, b, fov, binding = price(x, rows)
+        m, i = np.arange(rows.size), np.argmax(rates, axis=1)
         j, jj = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
-        smooth = binding[m, j] == binding[m, jj]
-        b_ends = np.stack([b[m, j], b[m, jj]])
-        done = ((smooth & (np.ptp(b_ends, axis=0) <= opts.b_rel_tol * b_ends.max(axis=0)))
-                | (x[m, jj] - x[m, j] >= hi[rows] - lo[rows]))
-        if t.size > n:  # an end certified by its inner point is what the zoom would return
-            inner = np.where(i == 0, n, n + 1)
-            done |= ((i == 0) | (i == n - 1)) & smooth & (rates[m, inner] <= rates[m, i])
-            t = t[:n]
-        sub_lo, sub_hi = x[m, j], x[m, jj]
-        if pricing:
-            # a priced row ends at a corner that neither point beside it nor an earlier pass
-            # beats; else it zooms the sub-piece, beside the corner, that holds its best point
-            c, p = corners[q], best[2, q]
-            sub_lo[priced] = np.where(c < p, c, lo[q])
-            sub_hi[priced] = np.where(c > p, c, hi[q])
-            done[priced] = (i[priced] == 0) & (rates[priced, 0] == best[0, q])
-            corners[q] = np.nan
-        lo[rows], hi[rows] = sub_lo, sub_hi
-        kink = np.flatnonzero(~(done | smooth | priced))
-        if kink.size:
-            # the cell beside the best point where the binding cap changes holds a corner:
-            # solve for it, to price it in the next pass
+        split = x[m, i]
+        kink = np.flatnonzero(binding[m, j] != binding[m, jj])
+        if kink.size:  # the cell beside the best point where the binding cap changes
             left = binding[kink, j[kink]] != binding[kink, i[kink]]
             cell = np.where(left, [j[kink], i[kink]], [i[kink], jj[kink]])
-            corners[rows[kink]] = corner(x[kink[:, None], cell.T], owner[kink])
-        rows = rows[~done]
+            split[kink] = corner(x[kink[:, None], cell.T], rows[kink] % k)
+        # two brackets a row, [x_j, split] and [split, x_jj], each on the side of one cap
+        halves = np.column_stack([x[m, j], split, split, x[m, jj]]).reshape(-1, 2)
+        side = np.column_stack([binding[m, j], binding[m, jj]]).reshape(-1, 1)
+        slope = lambda z, h: price(z, rows.repeat(2)[h], side[h])[0].imag / 1e-20  # dR/dlog x
+        g = slope(halves * (1 + 1e-20j), slice(None))
+        rise = np.flatnonzero((g[:, 0] > 0) & (g[:, 1] < 0))
+        # each half's root (secant steps), or where its slope does not fall from positive
+        # to negative, its better end: the split, or a grid point no higher than x_i
+        at = np.column_stack([split, split])
+        if rise.size:
+            at.reshape(-1)[rise] = _bracket_root(lambda z: slope(z, rise), halves[rise], g[rise],
+                                     lambda x, r, xp, rp: r * np.log(x / xp) / (r - rp))
+        # x_i, and each half's point where it is a root or a corner; the first of equals wins
+        cand = np.stack([rates[m, i], b[m, i], fov[m, i]])[:, :, None].repeat(3, axis=2)
+        new = np.flatnonzero(np.any(at != x[m, i, None], axis=1))
+        if new.size:
+            cand[:, new, 1:] = price(at[new], rows[new])[:3]
+        best[:, rows] = cand[:, m, np.argmax(cand[0], axis=1)]
     out = np.where(best[0, k:] > best[0, :k], best[:, k:], best[:, :k])
     return tuple(np.where(out[0] > -np.inf, out, np.nan))
 
@@ -431,12 +422,10 @@ def analytic_gradients(cfg: AdrConfig, ctx: LinkContext, bandwidth: float,
         raise ValueError(f"FOV {math.degrees(fov):.3f} deg is not interior to (0, "
                          f"{math.degrees(cap):.1f}) deg")
     require_positive("bandwidth", bandwidth)
-    # shape (1,): the noise PSD turns 0-d results into floats; a step of 1e-30 FOV
-    # underflows the rate partial where the aperture is saturated
-    h = 1e-20 * fov
-    b, fov_step = np.array([bandwidth]), np.array([fov + 1j * h])
+    h = 1e-20 * fov  # a step of 1e-30 FOV underflows the rate partial of a saturated aperture
+    b, fov_step = bandwidth, fov + 1j * h
     theta = adr._theta(cfg.n_tier, fov_step)
-    slope = lambda f: float(f.imag[0]) / h
+    slope = lambda f: float(np.imag(f)) / h
     return RateGradients(
         d_rate_d_fov=slope(_rate_raw(cfg, ctx, b, fov_step)),
         d_height_d_fov=slope(adr._height(cfg, b, theta)),

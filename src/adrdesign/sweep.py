@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral
 from typing import Optional
 
@@ -420,9 +420,12 @@ def regenerate(artifact):
                            a_max=meta["args"]["a_max"])
         return feasible_region(cfg, ctx, cs, artifact.axes, **common)
     if op == "rmax_surface":
+        solver = meta["args"]["solver"]
+        unknown = ", ".join(sorted(set(solver) - {f.name for f in fields(SolverOptions)}))
+        if unknown:  # a removed option: its values cannot come back bit for bit
+            raise ValueError(f"cannot regenerate: unknown solver option {unknown}")
         return rmax_surface(cfg, ctx, meta["args"]["fov_min"], artifact.axes[0],
-                            artifact.axes[1], SolverOptions(**meta["args"]["solver"]),
-                            **common)
+                            artifact.axes[1], SolverOptions(**solver), **common)
     raise ValueError(f"cannot regenerate operation {op!r}")
 
 

@@ -91,6 +91,19 @@ def test_encircled_power_rejects_negative_aperture():
         encircled_power(out, 1.0, -1e-3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_distance_and_aperture_rejected_by_name(bad):
+    # NaN used to come back as the radius or the power
+    out = transform_through_lens(REF_BEAM, REF_LENS)
+    for z in (bad, np.array([1.0, bad])):
+        with pytest.raises(ValueError, match="z must be finite"):
+            beam_radius(out, z)
+        with pytest.raises(ValueError, match="z must be finite"):
+            encircled_power(out, z, 1e-3)
+    with pytest.raises(ValueError, match="rho0 must be finite"):
+        encircled_power(out, 1.0, bad)
+
+
 def test_encircled_power_monotonicity(rng):
     out = transform_through_lens(REF_BEAM, REF_LENS)
     rho = np.sort(rng.uniform(0, 0.3, 300))

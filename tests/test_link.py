@@ -109,6 +109,14 @@ def test_noise_psd_requires_at_least_one_pd():
         noise_psd(NoiseModel(), 0)
 
 
+@pytest.mark.parametrize("received", [math.nan, math.inf, -1.0, np.array([1e-4, math.nan])])
+def test_noise_psd_rejects_a_power_that_is_not_finite_and_non_negative(received):
+    # NaN came back as the PSD, and -1 W as a negative PSD
+    for mode in ("full", "thermal_only"):
+        with pytest.raises(ValueError, match="received must be finite and >= 0"):
+            noise_psd(NoiseModel(mode=mode), 4, received)
+
+
 def test_rate_reference_points(ctx10):
     assert achievable_rate(preset("config1"), 2.1e9, FOV30, ctx10) == pytest.approx(
         14.22176e9, rel=1e-5

@@ -317,6 +317,11 @@ def test_rmax_surface_regeneration(ctx10):
     surf = rmax_surface(preset("config1"), ctx10, FOV30, l_axis, a_axis,
                         SolverOptions(grid_points=200))
     assert regenerate(surf).to_json() == surf.to_json()
+    # a surface written while the solver took b_rel_tol cannot come back bit for bit
+    meta = copy.deepcopy(surf.metadata)
+    meta["args"]["solver"]["b_rel_tol"] = 1e-6
+    with pytest.raises(ValueError, match="solver option b_rel_tol"):
+        regenerate(Grid2D(axes=surf.axes, values=surf.values, metadata=meta))
     # enlarging either budget never hurts
     assert np.all(np.diff(surf.values, axis=0) >= -1e-6 * surf.values[:-1, :])
     assert np.all(np.diff(surf.values, axis=1) >= -1e-6 * surf.values[:, :-1])
